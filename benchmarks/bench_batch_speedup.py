@@ -31,6 +31,7 @@ import pytest
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion
 from repro.noise.models import PACKED_SAMPLE_CHUNK, PhenomenologicalNoise
+from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import (BatchShotRunner, EndToEndShotKernel,
                              MemoryShotKernel)
@@ -168,8 +169,8 @@ def bench_packed_sampling_stage(benchmark):
         nonlocal float_total, packed_total
         for d in DISTANCES:
             p = PHYSICAL_RATES[-1]  # activity, not rate, drives the stage
-            noise = PhenomenologicalNoise(
-                d, p, 0.5, AnomalousRegion.centered(d, ANOMALY_SIZE))
+            noise = PhenomenologicalNoise(d, p, Scenario.from_region(
+                AnomalousRegion.centered(d, ANOMALY_SIZE)))
             lattice = SyndromeLattice(d)
             flt_t, flt_peak = _time_and_peak(
                 lambda r, noise=noise, lattice=lattice, d=d:
@@ -227,8 +228,8 @@ def _decode_stage_data(d, p, region, informed, shots, seed):
     """Sample + extract one packed chunk and build both kernels."""
     kernels = {}
     for mode in ("pershot", "batched"):
-        k = MemoryShotKernel(d, p, region=region, informed=informed,
-                             decode=mode)
+        k = MemoryShotKernel(d, p, Scenario.from_region(region),
+                             informed=informed, decode=mode)
         k.prepare()
         kernels[mode] = k
     noise, lattice, _, _ = kernels["batched"]._state
@@ -324,7 +325,7 @@ def bench_decode_stage_speedup(benchmark):
     for mode in ("pershot", "batched"):
         kernel = MemoryShotKernel(
             13, PHYSICAL_RATES[-1],
-            region=AnomalousRegion.centered(13, ANOMALY_SIZE),
+            Scenario.from_region(AnomalousRegion.centered(13, ANOMALY_SIZE)),
             informed=True, decode=mode)
         res = BatchShotRunner(kernel, batch_size=256, seed=71,
                               packing="bits").run(1024)
@@ -344,13 +345,18 @@ def bench_decode_stage_speedup(benchmark):
     assert ratio >= 3.0, f"decode-stage throughput {ratio:.2f}x < 3x"
 
 
+def _strike(onset):
+    """One Fig. 8 strike at ``onset``, re-drawn per shot (p_ano = 0.5)."""
+    return Scenario(events=(StrikeEvent(onset=onset, size=ANOMALY_SIZE),))
+
+
 def _e2e_kernels(d, p, mode_list, onset, cycles, c_win):
     """Both decode-mode kernels for one Fig. 8 end-to-end point."""
     kernels = {}
     for mode in mode_list:
-        k = EndToEndShotKernel(d, p, 0.5, anomaly_size=ANOMALY_SIZE,
-                               onset=onset, cycles=cycles, c_win=c_win,
-                               n_th=8, alpha=0.01, decode=mode)
+        k = EndToEndShotKernel(d, p, _strike(onset), cycles=cycles,
+                               c_win=c_win, n_th=8, alpha=0.01,
+                               decode=mode)
         k.prepare()
         kernels[mode] = k
     return kernels
@@ -421,9 +427,8 @@ def bench_e2e_decode_stage_speedup(benchmark):
     camp = {}
     for mode in ("pershot", "batched"):
         kernel = EndToEndShotKernel(
-            9, PHYSICAL_RATES[0], 0.5, anomaly_size=ANOMALY_SIZE,
-            onset=onset, cycles=onset + 18, c_win=c_win, n_th=8,
-            alpha=0.01, decode=mode)
+            9, PHYSICAL_RATES[0], _strike(onset), cycles=onset + 18,
+            c_win=c_win, n_th=8, alpha=0.01, decode=mode)
         res = BatchShotRunner(kernel, batch_size=64, seed=71,
                               packing="bits").run(192)
         camp[mode] = res.outcomes

@@ -37,6 +37,7 @@ from repro import (
     SyndromeLattice,
     campaigns,
 )
+from repro.scenarios import Scenario
 from repro.sim.detection import calibrated_statistics
 
 DISTANCE = 9
@@ -81,7 +82,8 @@ def main():
     onset = 250
     live_region = AnomalousRegion.centered(DISTANCE, ANOMALY_SIZE,
                                            t_lo=onset)
-    noise = PhenomenologicalNoise(DISTANCE, P, region=live_region)
+    noise = PhenomenologicalNoise(DISTANCE, P,
+                                  Scenario.from_region(live_region))
     rng = np.random.default_rng(7)
     v, h, m = noise.sample(600, rng)
     stream = SyndromeLattice(DISTANCE).per_cycle_activity(v, h, m)

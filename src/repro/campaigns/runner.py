@@ -3,7 +3,9 @@
 ``run(spec)`` dispatches through a registry keyed on the spec type, so
 new campaign kinds plug in with :func:`register_campaign` without
 touching this module.  The Monte-Carlo kinds (memory / end-to-end /
-detection) share one chunked engine: the chunk plan comes from
+detection / scenario) share one runner and one chunked engine: every
+spec resolves to the scenario campaign it simulates
+(:func:`as_scenario_spec`), the chunk plan comes from
 :func:`repro.sim.batch.chunk_plan` (the ``(seed, batch_size)``
 reproducibility contract), chunks execute on the chosen
 :class:`~repro.campaigns.executors.Executor`, finished chunks stream
@@ -28,6 +30,7 @@ from repro.campaigns.results import CampaignResult, Provenance, SweepResult
 from repro.campaigns.specs import (DetectionSpec, EndToEndSpec, MemorySpec,
                                    ScalingSpec, ScenarioSpec, StreamingSpec,
                                    Sweep, ThroughputSpec, spec_hash)
+from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel, chunk_plan,
                              default_chunk_shots, wilson_tight)
@@ -98,6 +101,47 @@ def run(spec, executor: Optional[Executor] = None, checkpoint=None,
 # ----------------------------------------------------------------------
 # The shared chunked engine
 # ----------------------------------------------------------------------
+def as_scenario_spec(spec) -> ScenarioSpec:
+    """The scenario campaign a shot-campaign spec simulates.
+
+    The one place the region-era specs meet the one strike description
+    below the spec layer.  A :class:`MemorySpec` region (``"centered"``
+    resolved against the spec's distance) is one fixed event at
+    ``p_ano``, and no region the strike-free scenario.  An
+    :class:`EndToEndSpec` strike is one open-ended event at ``onset``
+    whose position is drawn per shot.  A :class:`DetectionSpec` strike
+    is the same event at the end of the pre-strike window.  The legacy
+    specs keep their wire shape and hashes: the view only builds
+    kernels and picks the summary.
+    """
+    if isinstance(spec, ScenarioSpec):
+        return spec
+    if isinstance(spec, MemorySpec):
+        return ScenarioSpec(
+            spec.distance, spec.p, spec.samples,
+            Scenario.from_region(spec.resolve_region(), spec.p_ano),
+            decoder=spec.decoder, informed=spec.informed,
+            cycles=spec.cycles, target_rel_width=spec.target_rel_width,
+            decode=spec.decode)
+    if isinstance(spec, EndToEndSpec):
+        strike = StrikeEvent(onset=spec.onset, size=spec.anomaly_size,
+                             p_ano=spec.p_ano)
+        return ScenarioSpec(
+            spec.distance, spec.p, spec.shots, Scenario(events=(strike,)),
+            mode="endtoend", cycles=spec.cycles, c_win=spec.c_win,
+            n_th=spec.n_th, alpha=spec.alpha, decode=spec.decode)
+    if isinstance(spec, DetectionSpec):
+        normal_cycles, post_cycles = spec.resolved_cycles()
+        strike = StrikeEvent(onset=normal_cycles, size=spec.anomaly_size,
+                             p_ano=spec.p_ano)
+        return ScenarioSpec(
+            spec.distance, spec.p, spec.trials, Scenario(events=(strike,)),
+            mode="detection", c_win=spec.c_win, n_th=spec.n_th,
+            alpha=spec.alpha, post_cycles=post_cycles, decode=spec.scan)
+    raise TypeError(
+        f"{type(spec).__name__} is not a chunked shot campaign")
+
+
 def shot_engine(spec) -> tuple[object, int, int]:
     """Build the chunk kernel for a shot-campaign spec.
 
@@ -105,68 +149,29 @@ def shot_engine(spec) -> tuple[object, int, int]:
     demand kernel, the total request, and the per-shot activity
     footprint that caps a whole-request chunk
     (:func:`repro.sim.batch.default_chunk_shots`).  This is the single
-    spec-to-kernel translation: the in-process runners below use it, and
-    a :mod:`repro.campaigns.distributed` worker rebuilds the *identical*
-    kernel from the spec JSON it was shipped, so a chunk's outcome
-    cannot depend on which side constructed the kernel.
+    spec-to-kernel translation: every spec resolves through
+    :func:`as_scenario_spec`, the in-process runner below uses it, and
+    a :mod:`repro.campaigns.distributed` worker rebuilds the
+    *identical* kernel from the spec JSON it was shipped, so a chunk's
+    outcome cannot depend on which side constructed the kernel.
     """
-    if isinstance(spec, MemorySpec):
+    view = as_scenario_spec(spec)
+    d, p, scenario = view.distance, view.p, view.scenario
+    kernel: object
+    if view.mode == "memory":
         kernel = MemoryShotKernel(
-            spec.distance, spec.p, region=spec.resolve_region(),
-            p_ano=spec.p_ano, decoder=spec.decoder, informed=spec.informed,
-            cycles=spec.cycles, decode=spec.decode)
-        return (kernel, spec.samples,
-                kernel.cycles * spec.distance * spec.distance)
-    if isinstance(spec, EndToEndSpec):
+            d, p, scenario, decoder=view.decoder, informed=view.informed,
+            cycles=view.cycles, decode=view.decode)
+        return kernel, view.shots, view.total_cycles() * d * d
+    if view.mode == "endtoend":
         kernel = EndToEndShotKernel(
-            spec.distance, spec.p, spec.p_ano, spec.anomaly_size,
-            spec.onset, spec.cycles, spec.c_win, spec.n_th, spec.alpha,
-            decode=spec.decode)
-        return (kernel, spec.shots,
-                spec.cycles * (spec.distance - 1) * spec.distance)
-    if isinstance(spec, DetectionSpec):
-        normal_cycles, post_cycles = spec.resolved_cycles()
+            d, p, scenario, view.total_cycles(), view.c_win, view.n_th,
+            view.alpha, decode=view.decode, decoder=view.decoder)
+    else:
         kernel = DetectionShotKernel(
-            spec.distance, spec.p, spec.p_ano, spec.anomaly_size,
-            spec.c_win, spec.n_th, spec.alpha, normal_cycles, post_cycles,
-            scan=spec.scan)
-        total = normal_cycles + post_cycles
-        return (kernel, spec.trials,
-                total * (spec.distance - 1) * spec.distance)
-    if isinstance(spec, ScenarioSpec):
-        return _scenario_engine(spec)
-    raise TypeError(
-        f"{type(spec).__name__} is not a chunked shot campaign")
-
-
-def _scenario_engine(spec: ScenarioSpec) -> tuple[object, int, int]:
-    """:func:`shot_engine` for the scenario kind, split by mode.
-
-    The first event donates the scalar knobs the legacy kernel
-    constructors still take (``p_ano``, ``anomaly_size``); with the
-    scenario attached the kernels resolve every event per shot, so
-    those scalars only steer estimation defaults.
-    """
-    d, scenario = spec.distance, spec.scenario
-    if spec.mode == "memory":
-        kernel = MemoryShotKernel(
-            d, spec.p, scenario=scenario, decoder=spec.decoder,
-            informed=spec.informed, cycles=spec.cycles, decode=spec.decode)
-        return kernel, spec.shots, kernel.cycles * d * d
-    first = scenario.events[0]
-    total = spec.total_cycles()
-    if spec.mode == "endtoend":
-        kernel = EndToEndShotKernel(
-            d, spec.p, first.p_ano, first.size, scenario.first_onset,
-            spec.total_cycles(), spec.c_win, spec.n_th, spec.alpha,
-            decode=spec.decode, decoder=spec.decoder, scenario=scenario)
-        return kernel, spec.shots, total * (d - 1) * d
-    normal_cycles, post_cycles = spec.resolved_cycles()
-    kernel = DetectionShotKernel(
-        d, spec.p, first.p_ano, first.size, spec.c_win, spec.n_th,
-        spec.alpha, normal_cycles, post_cycles, scan=spec.decode,
-        scenario=scenario)
-    return kernel, spec.shots, total * (d - 1) * d
+            d, p, scenario, view.c_win, view.n_th, view.alpha,
+            view.resolved_cycles()[1], scan=view.decode)
+    return kernel, view.shots, view.total_cycles() * (d - 1) * d
 
 
 def effective_batch_size(spec, kernel, shots: int, per_shot_elements: int,
@@ -385,93 +390,29 @@ def _detection_summary(co: _ChunkedOutcome) -> tuple:
     return estimates, counts, detail
 
 
-@register_campaign(MemorySpec)
-def _run_memory(spec: MemorySpec, executor: Executor,
-                store) -> CampaignResult:
-    started = time.perf_counter()
-    kernel, shots, per_shot = shot_engine(spec)
-    batch_size = effective_batch_size(spec, kernel, shots, per_shot,
-                                      executor)
-    co = _run_chunked(kernel, spec, shots, batch_size, executor,
-                      store, target_rel_width=spec.target_rel_width)
-    estimates, counts, detail = _memory_summary(co, kernel.cycles)
-    return CampaignResult(
-        kind=spec.kind,
-        estimates=estimates,
-        counts=counts,
-        provenance=_provenance(spec, executor, started,
-                               packing=spec.packing,
-                               batch_size=co.batch_size,
-                               chunks=co.chunks, resumed=co.resumed,
-                               supervisor=co.supervisor),
-        detail=detail,
-    )
-
-
-@register_campaign(EndToEndSpec)
-def _run_endtoend(spec: EndToEndSpec, executor: Executor,
-                  store) -> CampaignResult:
-    started = time.perf_counter()
-    kernel, shots, per_shot = shot_engine(spec)
-    batch_size = effective_batch_size(spec, kernel, shots, per_shot,
-                                      executor)
-    co = _run_chunked(kernel, spec, shots, batch_size, executor, store)
-    estimates, counts, detail = _endtoend_summary(co)
-    return CampaignResult(
-        kind=spec.kind,
-        estimates=estimates,
-        counts=counts,
-        provenance=_provenance(spec, executor, started,
-                               packing=spec.packing,
-                               batch_size=co.batch_size,
-                               chunks=co.chunks, resumed=co.resumed,
-                               supervisor=co.supervisor),
-        detail=detail,
-    )
-
-
-@register_campaign(DetectionSpec)
-def _run_detection(spec: DetectionSpec, executor: Executor,
-                   store) -> CampaignResult:
-    started = time.perf_counter()
-    kernel, shots, per_shot = shot_engine(spec)
-    batch_size = effective_batch_size(spec, kernel, shots, per_shot,
-                                      executor)
-    co = _run_chunked(kernel, spec, shots, batch_size, executor, store)
-    estimates, counts, detail = _detection_summary(co)
-    return CampaignResult(
-        kind=spec.kind,
-        estimates=estimates,
-        counts=counts,
-        provenance=_provenance(spec, executor, started,
-                               packing=spec.packing,
-                               batch_size=co.batch_size,
-                               chunks=co.chunks, resumed=co.resumed,
-                               supervisor=co.supervisor),
-        detail=detail,
-    )
-
-
 @register_campaign(ScenarioSpec)
-def _run_scenario(spec: ScenarioSpec, executor: Executor,
-                  store) -> CampaignResult:
-    """One scenario campaign through the mode's chunked engine.
+@register_campaign(DetectionSpec)
+@register_campaign(EndToEndSpec)
+@register_campaign(MemorySpec)
+def _run_shots(spec, executor: Executor, store) -> CampaignResult:
+    """Every shot-campaign kind through the one chunked engine.
 
-    The chunk plan, resume semantics, and early stopping are exactly
-    the legacy kind's — only the summary changes shape with the mode —
-    so a single-event scenario campaign is comparable line by line with
-    its legacy counterpart.
+    The spec resolves to the scenario campaign it simulates
+    (:func:`as_scenario_spec`); the chunk plan, resume semantics and
+    early stopping are shared, and only the summary changes shape with
+    the mode — so a legacy spec and its one-event scenario campaign
+    are comparable line by line.
     """
     started = time.perf_counter()
-    kernel, shots, per_shot = shot_engine(spec)
+    view = as_scenario_spec(spec)
+    kernel, shots, per_shot = shot_engine(view)
     batch_size = effective_batch_size(spec, kernel, shots, per_shot,
                                       executor)
-    rel_width = spec.target_rel_width if spec.mode == "memory" else None
     co = _run_chunked(kernel, spec, shots, batch_size, executor, store,
-                      target_rel_width=rel_width)
-    if spec.mode == "memory":
-        estimates, counts, detail = _memory_summary(co, kernel.cycles)
-    elif spec.mode == "endtoend":
+                      target_rel_width=view.target_rel_width)
+    if view.mode == "memory":
+        estimates, counts, detail = _memory_summary(co, view.total_cycles())
+    elif view.mode == "endtoend":
         estimates, counts, detail = _endtoend_summary(co)
     else:
         estimates, counts, detail = _detection_summary(co)

@@ -73,6 +73,11 @@ def _check_region(region, anomaly_size: int) -> None:
     _check(region is None or isinstance(region, AnomalousRegion)
            or region == "centered",
            "region must be None, an AnomalousRegion, or 'centered'")
+    # A strike event lasts at least one cycle, so an empty time window
+    # has no scenario form (see repro.campaigns.runner.as_scenario_spec).
+    _check(not isinstance(region, AnomalousRegion)
+           or region.t_hi != region.t_lo,
+           "region time window is empty (t_hi == t_lo)")
     _check(anomaly_size >= 1, "anomaly_size must be >= 1")
 
 
@@ -224,12 +229,13 @@ class ScenarioSpec:
       positions are re-drawn per shot, and ``cycles`` must be given
       explicitly (the timeline, not a single onset, sets the horizon).
     * ``"detection"`` — detection-unit trials; the pre-strike window is
-      the first event's onset and the exposure runs ``post_cycles``
+      the earliest event's onset and the exposure runs ``post_cycles``
       beyond it.
 
-    The degenerate single-fixed-event, uniform-base scenario is
-    contractually bit-identical per ``(seed, batch_size)`` to the
-    legacy ``region``-field specs (see CONTRACTS.md).
+    The legacy region specs run as the one-event scenario campaigns
+    :func:`repro.campaigns.runner.as_scenario_spec` resolves them to,
+    so each is bit-identical per ``(seed, batch_size)`` to its scenario
+    twin by construction (see CONTRACTS.md).
     """
 
     kind = "scenario"
@@ -292,6 +298,8 @@ class ScenarioSpec:
         else:
             _check(len(scenario.events) >= 1,
                    f"{self.mode}-mode scenarios need at least one event")
+            _check(self.target_rel_width is None,
+                   "target_rel_width is a memory-mode knob")
             if self.mode == "endtoend":
                 _check(self.cycles is not None,
                        "endtoend mode needs explicit cycles (the "

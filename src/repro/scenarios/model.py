@@ -12,24 +12,26 @@ profile (per-cycle multiplier).  Events may carry a
 semantics of ``repro.noise.leakage`` into specced campaigns.
 
 Scenarios are frozen and JSON-round-trippable (the campaign spec
-discipline, reprolint RL004), and the degenerate case is exact by
-construction: a scenario with one fixed event over a uniform base is
-*bit-identical* to the legacy single-region noise path per
-``(seed, batch_size)`` — see :meth:`Scenario.legacy_equivalent` and
-docs/CONTRACTS.md.
+discipline, reprolint RL004).  Below the spec layer a scenario is the
+only strike description: :class:`~repro.noise.models.PhenomenologicalNoise`
+and the shot kernels of :mod:`repro.sim.batch` take one, and the legacy
+region specs become one-event scenarios (:meth:`Scenario.from_region`,
+``repro.campaigns.runner.as_scenario_spec``; see docs/CONTRACTS.md).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 import numpy as np
 
-from repro.noise.models import AnomalousRegion
+if TYPE_CHECKING:  # runtime imports are local: repro.noise.models imports us
+    from repro.noise.models import AnomalousRegion
 
 __all__ = [
+    "NO_STRIKES",
     "ScenarioError",
     "StrikeEvent",
     "Scenario",
@@ -126,6 +128,7 @@ class StrikeEvent:
     # ------------------------------------------------------------------
     def region(self) -> AnomalousRegion:
         """The event as a fixed :class:`AnomalousRegion` (fixed events only)."""
+        from repro.noise.models import AnomalousRegion
         if self.row is None or self.col is None:
             raise ScenarioError(
                 "event has a per-shot random position; use "
@@ -139,15 +142,27 @@ class StrikeEvent:
 
         Random positions draw through
         :meth:`AnomalousRegion.random` — the single place strike
-        positions are sampled — so a one-event scenario consumes the
-        generator exactly as the legacy per-shot region draw.
+        positions are sampled, so every engine draws them identically.
         """
         if self.fixed:
             return self.region()
+        from repro.noise.models import AnomalousRegion
         return AnomalousRegion.random(distance, self.size, rng,
                                       t_lo=self.onset, t_hi=self.t_hi)
 
     # ------------------------------------------------------------------
+    @classmethod
+    def from_region(cls, region: AnomalousRegion,
+                    p_ano: float) -> "StrikeEvent":
+        """A fixed :class:`AnomalousRegion` at rate ``p_ano`` as an event.
+
+        The region's open ``t_hi`` stays open; a region with an empty
+        time window (``t_hi == t_lo``) has no event form.
+        """
+        duration = None if region.t_hi is None else region.t_hi - region.t_lo
+        return cls(onset=region.t_lo, size=region.size, duration=duration,
+                   row=region.row_lo, col=region.col_lo, p_ano=p_ano)
+
     @classmethod
     def from_burst(cls, event: Any) -> "StrikeEvent":
         """A :class:`repro.noise.leakage.BurstEvent` as a strike event."""
@@ -258,15 +273,23 @@ class Scenario:
         return all(event.fixed for event in self.events)
 
     @property
-    def single_event(self) -> bool:
-        return len(self.events) == 1
+    def lead(self) -> int:
+        """Index of the earliest-onset event; declaration order breaks ties.
+
+        The one event a single-strike reading takes: the detection
+        kernels start their pre-strike window at its onset, the control
+        unit assumes its size and weight, and detection trials score
+        position error against its box.
+        """
+        if not self.events:
+            raise ScenarioError("an event-free scenario has no lead event")
+        return min(range(len(self.events)),
+                   key=lambda k: self.events[k].onset)
 
     @property
     def first_onset(self) -> int:
         """Earliest event onset (0 for an event-free scenario)."""
-        if not self.events:
-            return 0
-        return min(event.onset for event in self.events)
+        return self.events[self.lead].onset if self.events else 0
 
     @property
     def rate_field_distance(self) -> Optional[int]:
@@ -276,19 +299,6 @@ class Scenario:
         return len(self.rate_field) + 1
 
     # ------------------------------------------------------------------
-    def legacy_equivalent(self) -> Optional[tuple]:
-        """``(region, p_ano)`` iff this scenario *is* the legacy path.
-
-        Non-``None`` exactly when the scenario is one fixed event over
-        a uniform undrifted base — the case contractually bit-identical
-        to ``PhenomenologicalNoise(..., region=..., p_ano=...)`` per
-        ``(seed, batch_size)``.
-        """
-        if not (self.uniform_base and self.single_event and self.fixed):
-            return None
-        event = self.events[0]
-        return event.region(), event.p_ano
-
     def resolve_regions(self, distance: int,
                         rng: np.random.Generator) -> tuple:
         """Per-event regions for one shot, in declaration order."""
@@ -341,6 +351,14 @@ class Scenario:
         """Leakage-module :class:`BurstEvent` timeline as a scenario."""
         return cls(events=tuple(StrikeEvent.from_burst(e) for e in events))
 
+    @classmethod
+    def from_region(cls, region: Optional[AnomalousRegion],
+                    p_ano: float = 0.5) -> "Scenario":
+        """One fixed region at rate ``p_ano``; ``None`` is strike-free."""
+        if region is None:
+            return cls()
+        return cls(events=(StrikeEvent.from_region(region, p_ano),))
+
     def to_dict(self) -> dict:
         return {
             "events": [event.to_dict() for event in self.events],
@@ -374,3 +392,8 @@ class Scenario:
         except ValueError as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
         return cls.from_dict(doc)
+
+
+#: The strike-free scenario: the base rate alone, and the default of
+#: every noise model and shot kernel that takes a scenario.
+NO_STRIKES = Scenario()

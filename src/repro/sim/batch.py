@@ -16,6 +16,12 @@ module is the production hot path:
   batch dataflow, and partial runs (``pipeline().run_until(...)``)
   expose any seam for benchmarking or testing.
 
+* **One strike model** — every kernel takes its strikes as a
+  :class:`repro.scenarios.model.Scenario`: the memory kernel hands its
+  fixed events to the noise model, and the end-to-end and detection
+  kernels place each event per shot.  The region specs reach them as
+  one-event scenarios (:func:`repro.campaigns.runner.shot_engine`).
+
 * **Cross-shot batched decode** — the greedy matchings of a chunk run
   through :mod:`repro.decoding.batched`: shots bucketed by active-node
   count, bucket-wide distance tensors, one flattened candidate sort and
@@ -58,7 +64,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -72,17 +78,17 @@ from repro.decoding.mwpm import MWPMDecoder
 from repro.decoding.weights import (DistanceModel, MultiRegionDistanceModel,
                                     relative_anomalous_weight)
 from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
-from repro.scenarios.model import Scenario
+from repro.scenarios.model import NO_STRIKES, Scenario
 from repro.sim import bitops
 from repro.sim.endtoend import estimate_strike_region
 from repro.sim.montecarlo import BinomialEstimate, wilson_interval
-from repro.sim.stages import (DetectionExtractStage, DetectionSampleStage,
-                              DetectionScoreStage, EndToEndAccumulateStage,
-                              EndToEndDecodeStage, EndToEndDetectStage,
-                              EndToEndExtractStage, EndToEndSampleStage,
+from repro.sim.stages import (DetectionExtractStage, DetectionScoreStage,
+                              EndToEndAccumulateStage, EndToEndDecodeStage,
+                              EndToEndDetectStage, EndToEndExtractStage,
                               MemoryAccumulateStage, MemoryDecodeStage,
                               MemoryExtractStage, MemorySampleStage,
-                              ShotPipeline, StageContext, StageState)
+                              ShotPipeline, StageContext, StageState,
+                              StrikeSampleStage)
 # The per-shot anomalous overwrites moved to the stage seam; re-exported
 # here because they are part of this module's long-standing test surface.
 from repro.sim.stages import _overwrite_anomalous as _overwrite_anomalous
@@ -237,6 +243,19 @@ def _cache_stats(kernel) -> tuple[int, int, int]:
     return cache.stats() if cache is not None else (0, 0, 0)
 
 
+def _strike_model(distance: int, regions: tuple, w_anos: tuple):
+    """Matching distances that know the strike boxes ``regions``.
+
+    No box gives the uniform model, one box its :class:`DistanceModel`,
+    several a :class:`MultiRegionDistanceModel` with per-box weights.
+    """
+    if not regions:
+        return DistanceModel(distance)
+    if len(regions) == 1:
+        return DistanceModel(distance, regions[0], w_anos[0])
+    return MultiRegionDistanceModel(distance, regions, w_anos)
+
+
 def _windowed_over(activity: np.ndarray, c_win: int,
                    v_th: float) -> tuple[np.ndarray, np.ndarray]:
     """Sliding-window counter state for one shot's activity stream.
@@ -288,7 +307,9 @@ class MemoryShotKernel:
     logical-failure indicators, distributionally identical to ``shots``
     sequential ``run_once`` calls (the same error model and the exact
     same matching; only the order in which the uniforms are drawn
-    differs).
+    differs).  The strikes are ``scenario``'s fixed-position events
+    (none by default), applied chunk-wide by the noise model;
+    ``informed`` decodes with their boxes weighted.
     """
 
     #: column of ``run_batch`` output that feeds the streamed estimate
@@ -296,30 +317,16 @@ class MemoryShotKernel:
     default_batch_size = 512
 
     def __init__(self, distance: int, p: float,
-                 region: Optional[AnomalousRegion] = None,
-                 p_ano: float = 0.5, decoder: str = "greedy",
+                 scenario: Scenario = NO_STRIKES, decoder: str = "greedy",
                  informed: bool = False, cycles: Optional[int] = None,
-                 cache_matchings: bool = True, decode: str = "batched",
-                 scenario: Optional[Scenario] = None):
+                 cache_matchings: bool = True, decode: str = "batched"):
         if decode not in DECODE_MODES:
             raise ValueError(f"decode must be one of {DECODE_MODES}")
-        if scenario is not None:
-            if region is not None:
-                raise ValueError("pass either region or scenario, not both")
-            if not scenario.fixed:
-                raise ValueError(
-                    "memory-kernel scenarios need fixed event positions")
-            legacy = scenario.legacy_equivalent()
-            if legacy is not None:
-                # The degenerate scenario *is* the legacy kernel — route
-                # through the legacy fields so outcomes are structurally
-                # bit-identical per (seed, batch_size).
-                region, p_ano = legacy
-                scenario = None
+        if not scenario.fixed:
+            raise ValueError(
+                "memory-kernel scenarios need fixed event positions")
         self.distance = distance
         self.p = p
-        self.region = region
-        self.p_ano = p_ano
         self.scenario = scenario
         self.decoder = decoder
         self.informed = informed
@@ -334,26 +341,14 @@ class MemoryShotKernel:
         """Build noise/lattice/decoder once (per process, per worker)."""
         if self._state is not None:
             return
-        if self.scenario is not None:
-            noise = PhenomenologicalNoise(self.distance, self.p,
-                                          scenario=self.scenario)
-        else:
-            noise = PhenomenologicalNoise(self.distance, self.p, self.p_ano,
-                                          self.region)
+        noise = PhenomenologicalNoise(self.distance, self.p, self.scenario)
         lattice = SyndromeLattice(self.distance)
-        if self.informed and self.scenario is not None \
-                and self.scenario.events:
-            regions = tuple(e.region() for e in self.scenario.events)
-            weights = tuple(relative_anomalous_weight(self.p, e.p_ano)
-                            for e in self.scenario.events)
-            if len(regions) == 1:
-                model = DistanceModel(self.distance, regions[0], weights[0])
-            else:
-                model = MultiRegionDistanceModel(self.distance, regions,
-                                                 weights)
-        elif self.informed and self.region is not None:
-            w_ano = relative_anomalous_weight(self.p, self.p_ano)
-            model = DistanceModel(self.distance, self.region, w_ano)
+        if self.informed:
+            events = self.scenario.events
+            model = _strike_model(
+                self.distance, tuple(e.region() for e in events),
+                tuple(relative_anomalous_weight(self.p, e.p_ano)
+                      for e in events))
         else:
             model = DistanceModel(self.distance)
         mwpm = MWPMDecoder(model) if self.decoder == "mwpm" else None
@@ -434,39 +429,38 @@ class EndToEndShotKernel:
     """Batched end-to-end strike shots (detect, estimate, re-decode).
 
     Output rows are ``(naive, detected, oracle, latency)`` with
-    ``latency = -1`` on a missed detection.  The per-cycle detection
-    scan is replaced by a windowed-count computation over the whole
-    activity stream (exact under the discard-pre-onset semantics: masks
-    from discarded events are cleared, and the first accepted event ends
-    the shot, so no mask can ever touch a scored detection).
+    ``latency = -1`` on a missed detection.  The strikes are
+    ``scenario``'s events, positionless ones re-drawn every shot; the
+    control unit assumes the lead (earliest-onset) event's onset, size
+    and weight.  The per-cycle detection scan is replaced by a
+    windowed-count computation over the whole activity stream (exact
+    under the discard-pre-onset semantics: masks from discarded events
+    are cleared, and the first accepted event ends the shot, so no mask
+    can ever touch a scored detection).
     """
 
     success_column = 1  # detected-strategy failures drive early stopping
     default_batch_size = 64
 
-    def __init__(self, distance: int, p: float, p_ano: float,
-                 anomaly_size: int, onset: int, cycles: int,
-                 c_win: int, n_th: int, alpha: float,
-                 decode: str = "batched", decoder: str = "greedy",
-                 scenario: Optional[Scenario] = None):
+    def __init__(self, distance: int, p: float, scenario: Scenario,
+                 cycles: int, c_win: int, n_th: int, alpha: float,
+                 decode: str = "batched", decoder: str = "greedy"):
         if decode not in DECODE_MODES:
             raise ValueError(f"decode must be one of {DECODE_MODES}")
         if decoder not in ("greedy", "mwpm"):
             raise ValueError("decoder must be 'greedy' or 'mwpm'")
-        if scenario is not None and not scenario.events:
+        if not scenario.events:
             raise ValueError("end-to-end scenarios need at least one event")
         self.distance = distance
         self.p = p
-        self.p_ano = p_ano
-        self.anomaly_size = anomaly_size
-        self.onset = onset
+        self.scenario = scenario
+        self.lead = scenario.lead  # the strike the control unit assumes
         self.cycles = cycles
         self.c_win = c_win
         self.n_th = n_th
         self.alpha = alpha
         self.decode = decode
         self.decoder = decoder
-        self.scenario = scenario
         self._state = None
         self._arena: Optional[ScratchArena] = None
 
@@ -477,38 +471,15 @@ class EndToEndShotKernel:
         stats = SyndromeStatistics.from_activity_rate(
             expected_activity_rate(self.p))
         v_th = detection_threshold(stats, self.c_win, self.alpha)
-        if self.scenario is not None and not self.scenario.uniform_base:
-            # Events are applied per shot by the sample stage; the noise
-            # model carries only the heterogeneous/drifting base field.
-            base = Scenario(events=(), rate_field=self.scenario.rate_field,
-                            drift=self.scenario.drift)
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               scenario=base)
-        else:
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               self.p_ano)
+        # Events land per shot in the sample stage; the noise model
+        # draws only the (possibly heterogeneous or drifting) base.
+        base_noise = PhenomenologicalNoise(
+            self.distance, self.p, replace(self.scenario, events=()))
         naive_model = DistanceModel(self.distance)
-        if self.scenario is not None:
-            w_ano: object = tuple(
-                relative_anomalous_weight(self.p, e.p_ano)
-                for e in self.scenario.events)
-        else:
-            w_ano = relative_anomalous_weight(self.p, self.p_ano)
+        w_anos = tuple(relative_anomalous_weight(self.p, e.p_ano)
+                       for e in self.scenario.events)
         self._arena = ScratchArena()
-        self._state = (lattice, v_th, base_noise, naive_model, w_ano)
-
-    @property
-    def _batched_w_ano(self) -> Optional[float]:
-        """The chunk-wide region weight, or ``None`` if not uniform.
-
-        The region-bucketed engine takes one ``w_ano`` for a whole
-        chunk; scenarios whose events carry different weights decode
-        through the per-shot scoring loop instead.
-        """
-        w = self._state[4]
-        if isinstance(w, tuple):
-            return w[0] if all(x == w[0] for x in w) else None
-        return w
+        self._state = (lattice, v_th, base_noise, naive_model, w_anos)
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -568,46 +539,25 @@ class EndToEndShotKernel:
         return [self._detect(activity[s]) for s in range(len(activity))]
 
     def _detect_scan(self, over: np.ndarray, n_over: np.ndarray):
-        """The scan tail shared by the per-shot and batched passes."""
+        """The scan tail shared by the per-shot and batched passes.
+
+        The control unit reasons about the scenario's lead strike: the
+        scan scores latency from its onset and estimates a box of its
+        size.
+        """
         d, cycles, c_win = self.distance, self.cycles, self.c_win
-        start = max(self.onset - (c_win - 1), 0)
+        lead = self.scenario.events[self.lead]
+        start = max(lead.onset - (c_win - 1), 0)
         fired = np.flatnonzero(n_over[start:] > self.n_th)
         if not len(fired):
             return cycles, None, -1
         event_cycle = int(fired[0]) + start + c_win - 1
         flag_rows, flag_cols = np.nonzero(over[event_cycle - (c_win - 1)])
         estimated = estimate_strike_region(
-            d, self.anomaly_size, int(np.median(flag_rows)),
+            d, lead.size, int(np.median(flag_rows)),
             int(np.median(flag_cols)), max(0, event_cycle - c_win))
         return (min(cycles, event_cycle + d), estimated,
-                event_cycle - self.onset)
-
-    def _decode_model(self, regions):
-        """The informed model for one shot's known region(s).
-
-        ``regions`` may be ``None`` (uniform), one
-        :class:`AnomalousRegion` (the legacy path and the detection
-        unit's estimate), or a sequence of regions (a scenario shot) —
-        length 0 and 1 reduce to the uniform and single-region models,
-        two or more compose a
-        :class:`~repro.decoding.weights.MultiRegionDistanceModel` with
-        the scenario's per-event weights.  A single estimate under a
-        multi-event scenario uses the first event's weight.
-        """
-        w = self._state[4]
-        ws = w if isinstance(w, tuple) else (w,)
-        if regions is None:
-            return self._state[3]
-        if isinstance(regions, AnomalousRegion):
-            return DistanceModel(self.distance, regions, ws[0])
-        regions = tuple(regions)
-        if not regions:
-            return self._state[3]
-        if len(ws) != len(regions):
-            ws = (ws[0],) * len(regions)
-        if len(regions) == 1:
-            return DistanceModel(self.distance, regions[0], ws[0])
-        return MultiRegionDistanceModel(self.distance, regions, ws)
+                event_cycle - lead.onset)
 
     def _matching_parity(self, model, nodes: np.ndarray) -> int:
         """One shot's matching cut parity under the spec'd decoder."""
@@ -619,27 +569,30 @@ class EndToEndShotKernel:
         return greedy_cut_parity(model, nodes)
 
     def _score(self, nodes: np.ndarray, error_parity: int,
-               naive_parity: int, true_region,
+               naive_parity: int, true_regions: tuple,
                estimated: Optional[AnomalousRegion]):
         """(naive, detected, oracle) failures for one decoded shot.
 
         The naive matching is precomputed for the whole chunk (one
-        shared model — it batches); the oracle/detected matchings use
-        this shot's own regions (possibly several, under a scenario).
+        shared model — it batches); the oracle matching knows this
+        shot's true boxes, one per event at the event's own weight, and
+        the detected matching the estimate at the lead event's weight.
         """
+        w_anos = self._state[4]
         naive = error_parity ^ naive_parity
         oracle = error_parity ^ self._matching_parity(
-            self._decode_model(true_region), nodes)
+            _strike_model(self.distance, true_regions, w_anos), nodes)
         if estimated is None:
             return naive, naive, oracle
         detected = error_parity ^ self._matching_parity(
-            self._decode_model(estimated), nodes)
+            DistanceModel(self.distance, estimated,
+                          w_anos[self.lead]), nodes)
         return naive, detected, oracle
 
     def pipeline(self) -> ShotPipeline:
         """This kernel's staged pipeline (all five beats)."""
         self.prepare()
-        return ShotPipeline((EndToEndSampleStage(self),
+        return ShotPipeline((StrikeSampleStage(self),
                              EndToEndExtractStage(self),
                              EndToEndDetectStage(self),
                              EndToEndDecodeStage(self),
@@ -725,7 +678,9 @@ class DetectionShotKernel:
     """Batched detection trials (Fig. 7) for the shot engine.
 
     Output rows are ``(false_positive, detected, latency, position_error)``
-    with ``latency = -1`` and ``position_error = nan`` on a miss.  Uses
+    with ``latency = -1`` and ``position_error = nan`` on a miss.  The
+    strikes are ``scenario``'s events; the pre-strike window ends at the
+    lead event's onset and ``post_cycles`` follow it.  Uses
     the same windowed-count scan as :class:`EndToEndShotKernel`: exact
     under the discard semantics, where pre-onset flags clear their masks
     and the first post-onset flag ends the trial.  ``scan="batched"``
@@ -737,26 +692,26 @@ class DetectionShotKernel:
     success_column = 1
     default_batch_size = 16
 
-    def __init__(self, distance: int, p: float, p_ano: float,
-                 anomaly_size: int, c_win: int, n_th: int, alpha: float,
-                 normal_cycles: int, post_cycles: int,
-                 scan: str = "batched",
-                 scenario: Optional[Scenario] = None):
+    def __init__(self, distance: int, p: float, scenario: Scenario,
+                 c_win: int, n_th: int, alpha: float, post_cycles: int,
+                 scan: str = "batched"):
         if scan not in DECODE_MODES:
             raise ValueError(f"scan must be one of {DECODE_MODES}")
-        if scenario is not None and not scenario.events:
+        if not scenario.events:
             raise ValueError("detection scenarios need at least one event")
         self.scan = scan
         self.distance = distance
         self.p = p
-        self.p_ano = p_ano
-        self.anomaly_size = anomaly_size
+        self.scenario = scenario
+        # The lead strike sets the pre-strike window and the box that
+        # position errors are scored against.
+        self.lead = scenario.lead
+        self.normal_cycles = scenario.first_onset
+        self.post_cycles = post_cycles
+        self.cycles = self.normal_cycles + post_cycles
         self.c_win = c_win
         self.n_th = n_th
         self.alpha = alpha
-        self.normal_cycles = normal_cycles
-        self.post_cycles = post_cycles
-        self.scenario = scenario
         self._state = None
 
     def prepare(self) -> None:
@@ -765,31 +720,25 @@ class DetectionShotKernel:
         stats = SyndromeStatistics.from_activity_rate(
             expected_activity_rate(self.p))
         v_th = detection_threshold(stats, self.c_win, self.alpha)
-        if self.scenario is not None and not self.scenario.uniform_base:
-            base = Scenario(events=(), rate_field=self.scenario.rate_field,
-                            drift=self.scenario.drift)
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               scenario=base)
-        else:
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               self.p_ano)
-        self._state = (v_th, base_noise, SyndromeLattice(self.distance))
+        base_noise = PhenomenologicalNoise(
+            self.distance, self.p, replace(self.scenario, events=()))
+        self._state = (SyndromeLattice(self.distance), v_th, base_noise)
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_state"] = None
         return state
 
-    def _score_trial(self, activity: np.ndarray, region) -> tuple:
+    def _score_trial(self, activity: np.ndarray, regions: tuple) -> tuple:
         """One trial's windowed-count scan and outcome row.
 
         Returns ``(false_positive, detected, latency, position_error)``;
         the single copy of the scan tail keeps every path — float,
         packed, per-shot, batched — scoring identically.
         """
-        v_th, _, _ = self._state
+        v_th = self._state[1]
         return self._score_scan(*_windowed_over(activity, self.c_win,
-                                                v_th), region)
+                                                v_th), regions)
 
     def _score_all(self, activity: np.ndarray,
                    regions: list) -> np.ndarray:
@@ -797,9 +746,8 @@ class DetectionShotKernel:
         shots = len(activity)
         out = np.empty((shots, 4), dtype=np.float64)
         if self.scan == "batched":
-            v_th, _, _ = self._state
             over, n_over = _windowed_over_batch(activity, self.c_win,
-                                                v_th)
+                                                self._state[1])
             for s in range(shots):
                 out[s] = self._score_scan(over[s], n_over[s], regions[s])
         else:
@@ -808,17 +756,15 @@ class DetectionShotKernel:
         return out
 
     def _score_scan(self, over: np.ndarray, n_over: np.ndarray,
-                    region) -> tuple:
+                    regions: tuple) -> tuple:
         """The scan tail shared by the per-shot and batched passes.
 
-        ``region`` may be a sequence of per-event regions (a scenario
-        trial): the *first* event is the one the false-positive window
-        and position error are scored against — later back-to-back
-        strikes ride inside the post-detection stream, stressing the
-        detector's post-clear blindness window.
+        ``regions`` holds the trial's per-event boxes; the lead event's
+        box is the one position error is scored against — later
+        back-to-back strikes ride inside the post-detection stream,
+        stressing the detector's post-clear blindness window.
         """
-        if isinstance(region, (list, tuple)):
-            region = region[0]
+        region = regions[self.lead]
         c_win, onset = self.c_win, self.normal_cycles
         if not len(n_over):
             return (0.0, 0.0, -1.0, np.nan)
@@ -839,7 +785,7 @@ class DetectionShotKernel:
     def pipeline(self) -> ShotPipeline:
         """This kernel's staged pipeline (sample/extract/detect)."""
         self.prepare()
-        return ShotPipeline((DetectionSampleStage(self),
+        return ShotPipeline((StrikeSampleStage(self),
                              DetectionExtractStage(self),
                              DetectionScoreStage(self)))
 

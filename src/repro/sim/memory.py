@@ -20,6 +20,7 @@ from repro.decoding.greedy import GreedyDecoder
 from repro.decoding.mwpm import MWPMDecoder
 from repro.decoding.weights import DistanceModel, relative_anomalous_weight
 from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
+from repro.scenarios.model import Scenario
 from repro.sim.montecarlo import BinomialEstimate
 
 
@@ -101,7 +102,8 @@ class MemoryExperiment:
         self.decoder = decoder
         self.informed = informed
         self.cycles = cycles if cycles is not None else distance
-        self.noise = PhenomenologicalNoise(distance, p, p_ano, region)
+        self.noise = PhenomenologicalNoise(
+            distance, p, Scenario.from_region(region, p_ano))
         self.lattice = SyndromeLattice(distance)
         self._decoder = self._build_decoder(decoder)
 

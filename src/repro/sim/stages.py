@@ -26,6 +26,12 @@ detection     yes     yes      yes (accumulates: the scan rows *are*
                                fuse into one stage)
 ===========  ======  =======  ======  ======  ==========
 
+Strikes reach the stages only through the kernel's
+:class:`~repro.scenarios.model.Scenario`: the memory kernel's noise
+model applies its fixed events chunk-wide, and the end-to-end and
+detection kernels share one sample stage (:class:`StrikeSampleStage`)
+that resolves every event shot by shot.
+
 The streaming driver (:mod:`repro.streaming`) reuses the same seam
 vocabulary with rounds arriving incrementally instead of as a batch
 tensor.
@@ -84,7 +90,8 @@ class StageState:
     Each field is written by exactly one stage and read by later ones
     (``None`` until produced):
 
-    * ``regions`` — per-shot true strike regions (*sample*).
+    * ``regions`` — per-shot tuples of true strike regions, one per
+      scenario event in declaration order (*sample*).
     * ``v`` / ``h`` / ``m`` — error arrays, float or packed (*sample*).
     * ``activity`` — per-cycle node-activity stream (*extract*).
     * ``coords`` / ``vals`` / ``bounds`` — packed active-node index
@@ -297,18 +304,18 @@ class MemoryAccumulateStage(_KernelStage):
 
 
 # ----------------------------------------------------------------------
-# End-to-end kernel stages
+# End-to-end and detection kernel stages
 # ----------------------------------------------------------------------
-class EndToEndSampleStage(_KernelStage):
+class StrikeSampleStage(_KernelStage):
     """Per-shot strike regions + base draw + anomalous overwrites.
 
-    With a scenario, each shot resolves the *whole* event list to a
-    region tuple (random positions draw through the same
-    :meth:`AnomalousRegion.random` calls, shot by shot) and the
-    overwrites apply in event-declaration order with each event's own
-    ``p_ano`` — so a one-random-event scenario consumes the identical
-    uniform stream as the legacy path and is bit-identical per
-    ``(seed, batch_size)``.
+    The sample beat of the end-to-end and detection kernels.  Each shot
+    resolves the kernel scenario's whole event list to a region tuple
+    in declaration order (positionless events draw a fresh position
+    through :meth:`AnomalousRegion.random`); the base arrays are then
+    drawn chunk-wide from the kernel's base noise model, and each
+    shot's events overwrite their boxes in declaration order at their
+    own ``p_ano``.
     """
 
     name = "sample"
@@ -316,33 +323,22 @@ class EndToEndSampleStage(_KernelStage):
     def run(self, ctx: StageContext, state: StageState) -> None:
         kernel = self.kernel
         base_noise = kernel._state[2]
-        d, cycles = kernel.distance, kernel.cycles
-        rng = ctx.rng
-        scenario = getattr(kernel, "scenario", None)
-        if scenario is not None:
-            state.regions = [scenario.resolve_regions(d, rng)
-                             for _ in range(ctx.shots)]
-            p_anos = [event.p_ano for event in scenario.events]
-        else:
-            state.regions = [AnomalousRegion.random(d, kernel.anomaly_size,
-                                                    rng, t_lo=kernel.onset)
-                             for _ in range(ctx.shots)]
-            p_anos = None
+        d, scenario, rng = kernel.distance, kernel.scenario, ctx.rng
+        state.regions = [scenario.resolve_regions(d, rng)
+                         for _ in range(ctx.shots)]
         if ctx.packing == "bits":
-            v, h, m = base_noise.sample_batch_packed(ctx.shots, cycles, rng)
+            v, h, m = base_noise.sample_batch_packed(ctx.shots,
+                                                     kernel.cycles, rng)
             overwrite = _overwrite_anomalous_packed
         else:
-            v, h, m = base_noise.sample_batch(ctx.shots, cycles, rng)
+            v, h, m = base_noise.sample_batch(ctx.shots, kernel.cycles, rng)
             overwrite = _overwrite_anomalous
         # Regions differ per shot, so the anomalous overwrite is the one
         # per-shot sampling step (touching only the region's cells).
-        if p_anos is None:
-            for s, region in enumerate(state.regions):
-                overwrite(v, h, m, s, region, d, kernel.p_ano, rng)
-        else:
-            for s, regs in enumerate(state.regions):
-                for region, p_ano in zip(regs, p_anos, strict=True):
-                    overwrite(v, h, m, s, region, d, p_ano, rng)
+        p_anos = [event.p_ano for event in scenario.events]
+        for s, regs in enumerate(state.regions):
+            for region, p_ano in zip(regs, p_anos, strict=True):
+                overwrite(v, h, m, s, region, d, p_ano, rng)
         state.v, state.h, state.m = v, h, m
 
 
@@ -415,11 +411,11 @@ class EndToEndDecodeStage(_KernelStage):
 
     ``decode="batched"``: one region-bucketed engine call decodes the
     whole chunk per strategy — naive shares one model, oracle folds
-    each shot's true strike box into the bucket tensors, and detected
+    each shot's true strike boxes into the bucket tensors, and detected
     folds each detecting shot's estimate (whose onset varies shot to
     shot); misses inherit the naive matching.  ``decode="pershot"``
     keeps the per-shot reference loop, which is also where MWPM decodes
-    and scenarios whose events carry non-uniform region weights go (the
+    and scenarios whose events carry different region weights go (the
     bucketed engine takes one weight per chunk).
     """
 
@@ -430,12 +426,10 @@ class EndToEndDecodeStage(_KernelStage):
         shots = len(state.nodes_list)
         naive = kernel._naive_parities(state.nodes_list)
         out = np.empty((shots, 4), dtype=np.int64)
-        w_ano = (kernel._batched_w_ano
-                 if hasattr(kernel, "_batched_w_ano") else None)
-        use_batched = (kernel.decode == "batched"
-                       and getattr(kernel, "decoder", "greedy") == "greedy"
-                       and w_ano is not None)
-        if use_batched:
+        w_anos = kernel._state[4]
+        w_ano = w_anos[0]
+        if (kernel.decode == "batched" and kernel.decoder == "greedy"
+                and all(w == w_ano for w in w_anos)):
             err = state.parities.astype(np.int8)
             oracle = batched_region_cut_parities(
                 kernel.distance, state.regions, state.nodes_list, w_ano,
@@ -470,56 +464,13 @@ class EndToEndAccumulateStage(_KernelStage):
                                 for _, latency in state.detections]
 
 
-# ----------------------------------------------------------------------
-# Detection kernel stages
-# ----------------------------------------------------------------------
-class DetectionSampleStage(_KernelStage):
-    """Per-trial strike regions + base draw + anomalous overwrites."""
-
-    name = "sample"
-
-    def run(self, ctx: StageContext, state: StageState) -> None:
-        kernel = self.kernel
-        base_noise = kernel._state[1]
-        total = kernel.normal_cycles + kernel.post_cycles
-        rng = ctx.rng
-        scenario = getattr(kernel, "scenario", None)
-        if scenario is not None:
-            # Event onsets are the scenario's own (back-to-back strikes
-            # land inside the post window); positions resolve per trial.
-            state.regions = [scenario.resolve_regions(kernel.distance, rng)
-                             for _ in range(ctx.shots)]
-            p_anos = [event.p_ano for event in scenario.events]
-        else:
-            state.regions = [AnomalousRegion.random(
-                kernel.distance, kernel.anomaly_size, rng,
-                t_lo=kernel.normal_cycles) for _ in range(ctx.shots)]
-            p_anos = None
-        if ctx.packing == "bits":
-            v, h, m = base_noise.sample_batch_packed(ctx.shots, total, rng)
-            overwrite = _overwrite_anomalous_packed
-        else:
-            v, h, m = base_noise.sample_batch(ctx.shots, total, rng)
-            overwrite = _overwrite_anomalous
-        if p_anos is None:
-            for s, region in enumerate(state.regions):
-                overwrite(v, h, m, s, region, kernel.distance,
-                          kernel.p_ano, rng)
-        else:
-            for s, regs in enumerate(state.regions):
-                for region, p_ano in zip(regs, p_anos, strict=True):
-                    overwrite(v, h, m, s, region, kernel.distance, p_ano,
-                              rng)
-        state.v, state.h, state.m = v, h, m
-
-
 class DetectionExtractStage(_KernelStage):
     """Error arrays → the per-cycle node-activity stream."""
 
     name = "extract"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
-        lattice = self.kernel._state[2]
+        lattice = self.kernel._state[0]
         if ctx.packing == "bits":
             state.activity = lattice.per_cycle_activity_packed(
                 state.v, state.h, state.m)

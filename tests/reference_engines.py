@@ -23,6 +23,7 @@ from repro.decoding.graph import SyndromeLattice
 from repro.decoding.greedy import GreedyDecoder
 from repro.decoding.weights import DistanceModel, relative_anomalous_weight
 from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
+from repro.scenarios.model import Scenario
 from repro.sim.detection import DetectionPerformance, calibrated_statistics
 from repro.sim.endtoend import (EndToEndExperiment, EndToEndResult,
                                 estimate_strike_region)
@@ -37,7 +38,8 @@ def stream_activity(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-cycle node-activity stream, shape ``(cycles, d-1, d)``."""
-    noise = PhenomenologicalNoise(distance, p, p_ano, region)
+    noise = PhenomenologicalNoise(distance, p,
+                                  Scenario.from_region(region, p_ano))
     lattice = SyndromeLattice(distance)
     v, h, m = noise.sample(cycles, rng)
     return lattice.per_cycle_activity(v, h, m)
@@ -65,8 +67,9 @@ def reference_run_shot(exp: EndToEndExperiment, rng: np.random.Generator):
     """
     true_region = AnomalousRegion.random(exp.distance, exp.anomaly_size,
                                          rng, t_lo=exp.onset)
-    noise = PhenomenologicalNoise(exp.distance, exp.p, exp.p_ano,
-                                  true_region)
+    noise = PhenomenologicalNoise(exp.distance, exp.p,
+                                  Scenario.from_region(true_region,
+                                                       exp.p_ano))
     v, h, m = noise.sample(exp.cycles, rng)
     activity = exp.lattice.per_cycle_activity(v, h, m)
 

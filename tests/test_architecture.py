@@ -7,6 +7,7 @@ from repro.core import Q3DEConfig, Q3DEControlUnit
 from repro.core.statistics import SyndromeStatistics
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
+from repro.scenarios import Scenario
 from repro.sim.detection import calibrated_statistics
 
 
@@ -18,7 +19,7 @@ def make_unit(d=9, p=0.01, c_win=100, n_th=8, lifetime=5000):
 
 def activity_stream(d, p, cycles, region=None, seed=0):
     rng = np.random.default_rng(seed)
-    noise = PhenomenologicalNoise(d, p, region=region)
+    noise = PhenomenologicalNoise(d, p, Scenario.from_region(region))
     v, h, m = noise.sample(cycles, rng)
     return SyndromeLattice(d).per_cycle_activity(v, h, m)
 

@@ -12,6 +12,7 @@ from repro.decoding import (
     greedy_decode_fast,
 )
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
+from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import (
     BatchShotRunner,
@@ -46,7 +47,7 @@ class TestBatchedPrimitives:
     def test_single_shot_bitwise_matches_sample(self):
         """sample() draws the same uniforms as a one-shot batch."""
         region = AnomalousRegion(1, 1, 2, t_lo=1)
-        noise = PhenomenologicalNoise(5, 0.05, 0.5, region)
+        noise = PhenomenologicalNoise(5, 0.05, Scenario.from_region(region))
         v1, h1, m1 = noise.sample(4, np.random.default_rng(3))
         vb, hb, mb = noise.sample_batch(1, 4, np.random.default_rng(3))
         assert np.array_equal(v1, vb[0])
@@ -54,8 +55,8 @@ class TestBatchedPrimitives:
         assert np.array_equal(m1, mb[0])
 
     def test_detection_events_batch_matches_per_shot(self, rng):
-        noise = PhenomenologicalNoise(7, 0.03, 0.5,
-                                      AnomalousRegion.centered(7, 2))
+        noise = PhenomenologicalNoise(
+            7, 0.03, Scenario.from_region(AnomalousRegion.centered(7, 2)))
         lattice = SyndromeLattice(7)
         v, h, m = noise.sample_batch(9, 7, rng)
         batched = lattice.detection_events_batch(v, h, m)
@@ -212,7 +213,8 @@ class TestPackedSampling:
     @pytest.mark.parametrize("distance", [3, 5])
     def test_bit_identical_to_float_path(self, shots, distance):
         for region in self.REGIONS:
-            noise = PhenomenologicalNoise(distance, 0.05, 0.5, region)
+            noise = PhenomenologicalNoise(distance, 0.05,
+                                          Scenario.from_region(region))
             ref = noise.sample_batch(shots, 6, np.random.default_rng(42))
             packed = noise.sample_batch_packed(
                 shots, 6, np.random.default_rng(42))
@@ -224,8 +226,8 @@ class TestPackedSampling:
     def test_spans_multiple_sample_chunks(self):
         """Shots crossing the word-aligned scratch-block boundary still
         reproduce the one-big-call uniform stream."""
-        noise = PhenomenologicalNoise(3, 0.1, 0.5,
-                                      AnomalousRegion(0, 0, 1, t_lo=1))
+        noise = PhenomenologicalNoise(
+            3, 0.1, Scenario.from_region(AnomalousRegion(0, 0, 1, t_lo=1)))
         shots = 300  # chunk is 64: five blocks, the last one partial
         ref = noise.sample_batch(shots, 4, np.random.default_rng(8))
         packed = noise.sample_batch_packed(shots, 4,
@@ -242,7 +244,7 @@ class TestPackedExtraction:
     """Word-wise syndrome extraction equals the uint8 reference."""
 
     def _arrays(self, d, shots, cycles, seed, region=None):
-        noise = PhenomenologicalNoise(d, 0.05, 0.5, region)
+        noise = PhenomenologicalNoise(d, 0.05, Scenario.from_region(region))
         v, h, m = noise.sample_batch(shots, cycles,
                                      np.random.default_rng(seed))
         vw, hw, mw = noise.sample_batch_packed(shots, cycles,
@@ -302,7 +304,8 @@ class TestPackedKernelEquivalence:
     @pytest.mark.parametrize("distance", [3, 5])
     def test_memory_kernel(self, shots, distance):
         for region in self.REGIONS:
-            kernel = MemoryShotKernel(distance, 0.04, region=region)
+            kernel = MemoryShotKernel(distance, 0.04,
+                                      Scenario.from_region(region))
             kernel.prepare()
             ref = kernel.run_batch(shots, np.random.default_rng(7))
             packed = kernel.run_batch_packed(shots,
@@ -318,9 +321,10 @@ class TestPackedKernelEquivalence:
 
     @pytest.mark.parametrize("distance", [3, 5])
     def test_endtoend_kernel(self, distance):
-        kernel = EndToEndShotKernel(distance, 0.01, 0.5, anomaly_size=2,
-                                    onset=30, cycles=70, c_win=25,
-                                    n_th=3, alpha=0.01)
+        strike = StrikeEvent(onset=30, size=2, p_ano=0.5)
+        kernel = EndToEndShotKernel(distance, 0.01,
+                                    Scenario(events=(strike,)), cycles=70,
+                                    c_win=25, n_th=3, alpha=0.01)
         kernel.prepare()
         ref = kernel.run_batch(37, np.random.default_rng(3))
         packed = kernel.run_batch_packed(37, np.random.default_rng(3))
@@ -328,9 +332,10 @@ class TestPackedKernelEquivalence:
 
     @pytest.mark.parametrize("distance", [3, 5])
     def test_detection_kernel(self, distance):
-        kernel = DetectionShotKernel(distance, 2e-3, 0.05, anomaly_size=2,
-                                     c_win=40, n_th=3, alpha=0.01,
-                                     normal_cycles=80, post_cycles=160)
+        strike = StrikeEvent(onset=80, size=2, p_ano=0.05)
+        kernel = DetectionShotKernel(distance, 2e-3,
+                                     Scenario(events=(strike,)), c_win=40,
+                                     n_th=3, alpha=0.01, post_cycles=160)
         kernel.prepare()
         ref = kernel.run_batch(17, np.random.default_rng(5))
         packed = kernel.run_batch_packed(17, np.random.default_rng(5))

@@ -25,6 +25,7 @@ from repro.decoding import (
     greedy_decode_fast,
 )
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
+from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import backend, bitops
 from repro.sim.batch import (
     BatchShotRunner,
@@ -148,7 +149,7 @@ class TestBatchedEquivalence:
         """A p_ano = 0.5 box cluster (the Fig. 8 hot regime)."""
         d = 9
         region = AnomalousRegion.centered(d, 4)
-        noise = PhenomenologicalNoise(d, 2.5e-2, 0.5, region)
+        noise = PhenomenologicalNoise(d, 2.5e-2, Scenario.from_region(region))
         lattice = SyndromeLattice(d)
         v, h, m = noise.sample_batch(70, d, np.random.default_rng(5))
         nodes_list = lattice.detection_events_batch(v, h, m)
@@ -227,8 +228,8 @@ class TestScratchArena:
 class TestBulkShotNodes:
     @pytest.mark.parametrize("shots", [1, 37, 64, 130])
     def test_bulk_equals_per_shot(self, shots):
-        noise = PhenomenologicalNoise(5, 0.05, 0.5,
-                                      AnomalousRegion.centered(5, 2))
+        noise = PhenomenologicalNoise(
+            5, 0.05, Scenario.from_region(AnomalousRegion.centered(5, 2)))
         lattice = SyndromeLattice(5)
         v, h, m = noise.sample_batch_packed(shots, 5,
                                             np.random.default_rng(2))
@@ -261,7 +262,8 @@ class TestKernelDecodeModes:
             for informed in (False, True):
                 outs = {}
                 for mode in ("pershot", "batched"):
-                    kernel = MemoryShotKernel(5, 0.04, region=region,
+                    kernel = MemoryShotKernel(5, 0.04,
+                                              Scenario.from_region(region),
                                               informed=informed,
                                               decode=mode)
                     kernel.prepare()
@@ -271,9 +273,9 @@ class TestKernelDecodeModes:
                     (shots, region, informed)
 
     def test_memory_kernel_float_path_matches(self):
-        kernel = MemoryShotKernel(5, 0.04,
-                                  region=AnomalousRegion.centered(5, 2),
-                                  informed=True)
+        kernel = MemoryShotKernel(
+            5, 0.04, Scenario.from_region(AnomalousRegion.centered(5, 2)),
+            informed=True)
         kernel.prepare()
         a = kernel.run_batch(70, np.random.default_rng(3))
         b = kernel.run_batch_packed(70, np.random.default_rng(3))
@@ -283,18 +285,18 @@ class TestKernelDecodeModes:
         with pytest.raises(ValueError):
             MemoryShotKernel(5, 0.04, decode="magic")
         with pytest.raises(ValueError):
-            EndToEndShotKernel(5, 0.01, 0.5, anomaly_size=2, onset=10,
-                               cycles=30, c_win=10, n_th=3, alpha=0.01,
-                               decode="magic")
+            EndToEndShotKernel(
+                5, 0.01, Scenario(events=(StrikeEvent(onset=10, size=2),)),
+                cycles=30, c_win=10, n_th=3, alpha=0.01, decode="magic")
 
     @pytest.mark.parametrize("distance", [3, 5])
     def test_endtoend_kernel_modes(self, distance):
         outs = {}
         for mode in ("pershot", "batched"):
-            kernel = EndToEndShotKernel(distance, 0.01, 0.5,
-                                        anomaly_size=2, onset=30,
-                                        cycles=70, c_win=25, n_th=3,
-                                        alpha=0.01, decode=mode)
+            kernel = EndToEndShotKernel(
+                distance, 0.01,
+                Scenario(events=(StrikeEvent(onset=30, size=2),)),
+                cycles=70, c_win=25, n_th=3, alpha=0.01, decode=mode)
             kernel.prepare()
             outs[mode] = kernel.run_batch_packed(
                 37, np.random.default_rng(3))
@@ -304,7 +306,8 @@ class TestKernelDecodeModes:
         fails = {}
         for mode in ("pershot", "batched"):
             kernel = MemoryShotKernel(
-                7, 2.5e-2, region=AnomalousRegion.centered(7, 3),
+                7, 2.5e-2,
+                Scenario.from_region(AnomalousRegion.centered(7, 3)),
                 informed=True, decode=mode)
             res = BatchShotRunner(kernel, batch_size=48, seed=19,
                                   packing="bits").run(200)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import campaigns
 from repro.noise import AnomalousRegion
+from repro.scenarios import Scenario, StrikeEvent
 from repro.sim.batch import (BatchShotRunner, DetectionShotKernel,
                              EndToEndShotKernel, MemoryShotKernel,
                              chunk_plan, default_chunk_shots)
@@ -70,6 +71,17 @@ class TestSpecValidation:
     def test_detection_spec_rejects(self, kwargs):
         with pytest.raises(campaigns.SpecError):
             campaigns.DetectionSpec(**kwargs)
+
+    def test_memory_spec_rejects_an_empty_region_window(self):
+        """A strike lasts at least one cycle, so a ``t_hi == t_lo``
+        region has no scenario form: it fails on the wire, not in the
+        engine."""
+        text = json.dumps({
+            "kind": "memory", "distance": 5, "p": 1e-2, "samples": 10,
+            "region": {"row_lo": 1, "col_lo": 1, "size": 2,
+                       "t_lo": 3, "t_hi": 3}})
+        with pytest.raises(campaigns.SpecError, match="empty"):
+            campaigns.spec_from_json(text)
 
     def test_scaling_and_throughput_reject(self):
         with pytest.raises(campaigns.SpecError):
@@ -349,7 +361,7 @@ class TestLegacyShims:
         region = AnomalousRegion.centered(5, 2)
         exp = MemoryExperiment(5, 2e-2, region=region)
         est = exp.run(300, workers=1, seed=11, batch_size=64)
-        kernel = MemoryShotKernel(5, 2e-2, region=region)
+        kernel = MemoryShotKernel(5, 2e-2, Scenario.from_region(region))
         rr = BatchShotRunner(kernel, workers=1, batch_size=64,
                              seed=11).run(300)
         assert (est.failures, est.samples) == \
@@ -370,7 +382,9 @@ class TestLegacyShims:
         e2e = EndToEndExperiment(5, 0.01, onset=30, cycles=60, c_win=20,
                                  n_th=4)
         res = e2e.run(40, seed=5)
-        kernel = EndToEndShotKernel(5, 0.01, 0.5, 4, 30, 60, 20, 4, 0.01)
+        kernel = EndToEndShotKernel(
+            5, 0.01, Scenario(events=(StrikeEvent(onset=30, size=4),)),
+            60, 20, 4, 0.01)
         batch = default_chunk_shots(40, 60 * 4 * 5)
         out = BatchShotRunner(kernel, workers=0, batch_size=batch,
                               seed=5).run(40).outcomes
@@ -382,8 +396,9 @@ class TestLegacyShims:
     def test_detection_run_matches_direct_runner(self):
         perf = run_detection_trials(7, 2e-3, 0.05, anomaly_size=2,
                                     c_win=40, n_th=3, trials=6, seed=9)
-        kernel = DetectionShotKernel(7, 2e-3, 0.05, 2, 40, 3, 0.01,
-                                     80, 160)
+        strike = StrikeEvent(onset=80, size=2, p_ano=0.05)
+        kernel = DetectionShotKernel(7, 2e-3, Scenario(events=(strike,)),
+                                     40, 3, 0.01, 160)
         batch = default_chunk_shots(6, 240 * 6 * 7)
         out = BatchShotRunner(kernel, workers=0, batch_size=batch,
                               seed=9).run(6).outcomes

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.noise import AnomalousRegion, CosmicRayModel, PhenomenologicalNoise
 from repro.noise.cosmic_ray import CosmicRayStrike
+from repro.noise.models import build_anomalous_masks
+from repro.scenarios import Scenario
 
 
 class TestAnomalousRegion:
@@ -68,7 +70,7 @@ class TestPhenomenologicalNoise:
     def test_anomalous_region_has_elevated_rate(self):
         rng = np.random.default_rng(1)
         reg = AnomalousRegion(2, 2, 3)
-        noise = PhenomenologicalNoise(9, 0.001, p_ano=0.5, region=reg)
+        noise = PhenomenologicalNoise(9, 0.001, Scenario.from_region(reg))
         _, _, m = noise.sample(3000, rng)
         inside = m[:, 3, 3].mean()
         outside = m[:, 0, 0].mean()
@@ -78,7 +80,7 @@ class TestPhenomenologicalNoise:
     def test_region_time_bounds_respected(self):
         rng = np.random.default_rng(2)
         reg = AnomalousRegion(2, 2, 3, t_lo=100, t_hi=200)
-        noise = PhenomenologicalNoise(9, 0.0, p_ano=0.5, region=reg)
+        noise = PhenomenologicalNoise(9, 0.0, Scenario.from_region(reg))
         _, _, m = noise.sample(300, rng)
         assert not m[:100].any()
         assert m[100:200, 3, 3].mean() > 0.3
@@ -86,8 +88,7 @@ class TestPhenomenologicalNoise:
 
     def test_masks_cover_region_edges(self):
         reg = AnomalousRegion(0, 0, 2)
-        noise = PhenomenologicalNoise(5, 0.01, region=reg)
-        v_mask, h_mask, m_mask = noise.anomalous_masks
+        v_mask, h_mask, m_mask = build_anomalous_masks(5, reg)
         assert m_mask[0, 0] and m_mask[1, 1]
         assert not m_mask[2, 2]
         # Edges incident on node (0, 0): vertical k=0 and k=1.
@@ -103,8 +104,7 @@ class TestPhenomenologicalNoise:
     @given(st.integers(2, 7), st.integers(1, 5))
     def test_masks_nonempty_for_any_region(self, d, size):
         reg = AnomalousRegion.centered(d, min(size, d - 1))
-        noise = PhenomenologicalNoise(d, 0.01, region=reg)
-        v_mask, h_mask, m_mask = noise.anomalous_masks
+        v_mask, h_mask, m_mask = build_anomalous_masks(d, reg)
         assert m_mask.any()
         assert v_mask.any()
 

@@ -17,6 +17,7 @@ from repro import campaigns
 from repro.campaigns import (DetectionSpec, EndToEndSpec, MemorySpec,
                              ScenarioSpec, SpecError, Sweep,
                              spec_from_json, spec_hash, spec_to_json)
+from repro.campaigns.runner import shot_engine
 from repro.noise.models import AnomalousRegion
 from repro.scenarios import (Scenario, ScenarioError, StrikeEvent,
                              catalog_spec, register_scenario,
@@ -117,17 +118,27 @@ class TestScenario:
             Scenario(drift=(1.0, -0.5))
         assert Scenario(drift=[1, 2]).drift == (1.0, 2.0)
 
-    def test_legacy_equivalent_is_exactly_the_degenerate_case(self):
-        fixed = StrikeEvent(onset=0, size=2, row=1, col=1, p_ano=0.4)
-        assert Scenario(events=(fixed,)).legacy_equivalent() \
-            == (AnomalousRegion(1, 1, 2, t_lo=0, t_hi=None), 0.4)
-        # Anything richer has no legacy counterpart.
-        roaming = StrikeEvent(onset=0, size=2)
-        assert Scenario(events=(roaming,)).legacy_equivalent() is None
-        assert Scenario(events=(fixed, fixed)).legacy_equivalent() is None
-        assert Scenario(events=(fixed,),
-                        drift=(1.0, 2.0)).legacy_equivalent() is None
-        assert Scenario().legacy_equivalent() is None
+    def test_lead_is_the_earliest_event(self):
+        late = StrikeEvent(onset=40, size=2)
+        early = StrikeEvent(onset=10, size=3)
+        tied = StrikeEvent(onset=10, size=1)
+        scenario = Scenario(events=(late, early, tied))
+        assert scenario.lead == 1  # declaration order breaks the tie
+        assert scenario.first_onset == 10
+        assert Scenario().first_onset == 0
+        with pytest.raises(ScenarioError, match="no lead"):
+            Scenario().lead
+
+    def test_from_region_is_the_one_event_form(self):
+        region = AnomalousRegion(1, 2, 3, t_lo=5, t_hi=25)
+        (event,) = Scenario.from_region(region, 0.3).events
+        assert event.region() == region and event.p_ano == 0.3
+        open_ended = AnomalousRegion(1, 2, 3, t_lo=5)
+        assert Scenario.from_region(open_ended).events[0].duration is None
+        assert Scenario.from_region(None) == Scenario()
+        with pytest.raises(ScenarioError, match="duration"):
+            StrikeEvent.from_region(AnomalousRegion(1, 2, 3, t_lo=5, t_hi=5),
+                                    0.5)
 
     def test_json_round_trip(self):
         scenario = Scenario(
@@ -235,6 +246,19 @@ class TestScenarioSpec:
             ScenarioSpec(distance=5, p=0.002, shots=4, mode="detection",
                          c_win=20, scenario=Scenario(
                              events=(StrikeEvent(onset=0, size=2),)))
+
+    def test_target_rel_width_is_memory_mode_only(self):
+        ScenarioSpec(distance=5, p=0.01, shots=8, target_rel_width=0.5,
+                     scenario=Scenario(events=(_fixed_event(),)))
+        events = (StrikeEvent(onset=40, size=2),)
+        with pytest.raises(SpecError, match="memory-mode knob"):
+            ScenarioSpec(distance=5, p=0.01, shots=8, mode="endtoend",
+                         cycles=60, target_rel_width=0.5,
+                         scenario=Scenario(events=events))
+        with pytest.raises(SpecError, match="memory-mode knob"):
+            ScenarioSpec(distance=5, p=0.002, shots=8, mode="detection",
+                         c_win=20, target_rel_width=0.5,
+                         scenario=Scenario(events=events))
 
     def test_rate_field_must_match_the_distance(self):
         with pytest.raises(SpecError, match="distance"):
@@ -392,14 +416,75 @@ class TestLegacyBitIdentity:
                                want.counts.get("trials")))
         assert got.estimates == want.estimates
 
-    def test_memory_collapse_is_structural(self):
-        """The memory engine folds the degenerate scenario to the
-        legacy kernel arguments — identity by construction."""
-        from repro.campaigns.runner import shot_engine
-        _, _, scenario = _pairs()[0]
-        kernel, shots, _ = shot_engine(scenario)
-        assert kernel.scenario is None
-        assert kernel.region == AnomalousRegion(1, 1, 2, t_lo=0,
-                                                t_hi=None)
-        assert kernel.p_ano == 0.4
-        assert shots == 64
+
+
+# ----------------------------------------------------------------------
+# Legacy specs resolve to one-event scenarios in the shot engine
+# ----------------------------------------------------------------------
+_RESOLUTIONS = [
+    ("memory-free", MemorySpec(distance=5, p=0.01, samples=8), ()),
+    ("memory-centered",
+     MemorySpec(distance=9, p=0.01, samples=8, region="centered",
+                anomaly_size=4, p_ano=0.4),
+     (StrikeEvent(onset=0, size=4, row=2, col=2, p_ano=0.4),)),
+    ("memory-window",
+     MemorySpec(distance=5, p=0.01, samples=8,
+                region=AnomalousRegion(1, 2, 2, t_lo=3, t_hi=9)),
+     (StrikeEvent(onset=3, size=2, duration=6, row=1, col=2),)),
+    ("endtoend",
+     EndToEndSpec(distance=5, p=0.01, shots=4, p_ano=0.3, anomaly_size=2,
+                  onset=30, cycles=60),
+     (StrikeEvent(onset=30, size=2, p_ano=0.3),)),
+    ("detection-default",
+     DetectionSpec(distance=5, p=2e-3, p_ano=0.1, anomaly_size=2,
+                   c_win=20),
+     (StrikeEvent(onset=40, size=2, p_ano=0.1),)),
+    ("detection-explicit",
+     DetectionSpec(distance=5, p=2e-3, p_ano=0.1, anomaly_size=2,
+                   c_win=20, normal_cycles=55),
+     (StrikeEvent(onset=55, size=2, p_ano=0.1),)),
+]
+
+
+class TestLegacyResolution:
+    @pytest.mark.parametrize("spec, events",
+                             [case[1:] for case in _RESOLUTIONS],
+                             ids=[case[0] for case in _RESOLUTIONS])
+    def test_shot_engine_resolves_legacy_specs(self, spec, events):
+        """Each region-era spec reaches its kernel as the one-event (or
+        strike-free) scenario — :class:`TestLegacyBitIdentity` holds by
+        construction."""
+        kernel, _, _ = shot_engine(spec)
+        assert kernel.scenario == Scenario(events=events)
+        if isinstance(spec, DetectionSpec):
+            assert (kernel.normal_cycles, kernel.post_cycles) \
+                == spec.resolved_cycles()
+
+
+class TestLeadEvent:
+    """Single-strike readings take the earliest event, however the
+    timeline is declared."""
+
+    EARLY = StrikeEvent(onset=200, size=3, row=4, col=5)
+    LATE = StrikeEvent(onset=400, size=3, row=0, col=0)
+
+    def test_detection_scores_the_earliest_event(self):
+        spec = ScenarioSpec(distance=9, p=0.005, shots=24,
+                            mode="detection", seed=1,
+                            scenario=Scenario(events=(self.LATE,
+                                                      self.EARLY)))
+        result = campaigns.run(spec)
+        assert result.counts["detections"] == 24
+        assert result.estimates["mean_position_error"] < 2
+
+    def test_endtoend_estimates_the_earliest_event(self):
+        early = StrikeEvent(onset=30, size=3)
+        late = StrikeEvent(onset=50, size=1, p_ano=0.2)
+        spec = ScenarioSpec(distance=7, p=0.01, shots=8, mode="endtoend",
+                            cycles=80, c_win=20, n_th=3,
+                            scenario=Scenario(events=(late, early)))
+        kernel, _, _ = shot_engine(spec)
+        state = kernel.pipeline().run_until(
+            "detect", kernel._context(8, np.random.default_rng(0), "bits"))
+        estimates = [est for est, _ in state.detections if est is not None]
+        assert estimates and all(est.size == 3 for est in estimates)

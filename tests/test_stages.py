@@ -16,6 +16,7 @@ import pytest
 
 from repro import campaigns
 from repro.noise.models import AnomalousRegion
+from repro.scenarios import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel)
 from repro.sim.stages import (ShotPipeline, Stage, StageContext, StageState,
@@ -28,22 +29,22 @@ def digest(a: np.ndarray) -> str:
 
 
 def memory_kernel() -> MemoryShotKernel:
-    return MemoryShotKernel(5, 0.02,
-                            region=AnomalousRegion.centered(5, 2),
-                            p_ano=0.5)
+    return MemoryShotKernel(
+        5, 0.02, Scenario.from_region(AnomalousRegion.centered(5, 2), 0.5))
 
 
 def endtoend_kernel(**overrides) -> EndToEndShotKernel:
-    params = dict(distance=5, p=0.01, p_ano=0.5, anomaly_size=2,
-                  onset=30, cycles=70, c_win=20, n_th=3, alpha=0.01)
+    strike = StrikeEvent(onset=30, size=2, p_ano=0.5)
+    params = dict(distance=5, p=0.01, scenario=Scenario(events=(strike,)),
+                  cycles=70, c_win=20, n_th=3, alpha=0.01)
     params.update(overrides)
     return EndToEndShotKernel(**params)
 
 
 def detection_kernel(**overrides) -> DetectionShotKernel:
-    params = dict(distance=5, p=2e-3, p_ano=0.5, anomaly_size=2,
-                  c_win=30, n_th=3, alpha=0.01, normal_cycles=60,
-                  post_cycles=120)
+    strike = StrikeEvent(onset=60, size=2, p_ano=0.5)
+    params = dict(distance=5, p=2e-3, scenario=Scenario(events=(strike,)),
+                  c_win=30, n_th=3, alpha=0.01, post_cycles=120)
     params.update(overrides)
     return DetectionShotKernel(**params)
 
@@ -204,7 +205,9 @@ class TestEndToEndStagesStepwise:
         assert len(state.nodes_list) == shots
         assert len(state.detections) == shots
         assert state.parities.shape == (shots,)
-        assert all(isinstance(r, AnomalousRegion) for r in state.regions)
+        # One true box per shot: the scenario's single event.
+        assert all(len(regs) == 1 and isinstance(regs[0], AnomalousRegion)
+                   for regs in state.regions)
 
     def test_chunk_packed_matches_full_run(self):
         shots, seed = 13, 5
