@@ -9,8 +9,8 @@ certified *bit-identical* to :func:`repro.decoding.greedy
 accepts (anything else falls back to those functions, shot by shot):
 
 * **Bucketed distance builds** — shots are grouped by active-node count
-  ``n`` and stacked into ``(S, n, 3)`` tensors; pairwise and boundary
-  distances for the whole bucket come out of a handful of broadcast
+  ``n`` and gathered into ``(3, S, n)`` coordinate planes; pairwise and
+  boundary distances for the whole bucket come out of a handful of broadcast
   ufunc passes (the ``int16`` fast path of
   :meth:`DistanceModel.pairwise_int` generalized to the batch axis,
   dropping to ``int8`` when the coordinate spans allow).
@@ -30,22 +30,28 @@ accepts (anything else falls back to those functions, shot by shot):
   remaining candidate always wins in both formulations), with zero
   per-shot NumPy calls and no Python acceptance loop.
 
-* **Scratch arenas** — every bucket-shaped temporary (stacked nodes,
-  distance/threshold/keep tensors, the endpoint maps) comes from a
-  grow-only :class:`ScratchArena` keyed on buffer role, so steady-state
-  chunks allocate nothing.
+* **Scratch arenas** — every bucket-shaped temporary (coordinate planes,
+  distance/threshold/keep tensors, the endpoint maps, the level-1 cell
+  grid) comes from a grow-only :class:`ScratchArena` keyed on buffer
+  role, so steady-state chunks allocate nothing.
 
 * **Zero-clique prematching** — with a ``w_ano = 0`` region, the
   zero-distance cliques of the per-shot core are exactly the nodes
   *inside* the box (``to_box == 0``): the O(n^2) zero-matrix pass of the
   per-shot path collapses to an O(n) mask and a parity trick.
 
-The engine consumes *host* coordinate arrays: on the CuPy backend the
-packed word kernels reduce device syndromes to the (small) active-node
-index arrays at :meth:`SyndromeLattice.packed_active_nodes`, and the
-bucketed builds plus the acceptance — which is host-bound by nature —
-run on NumPy from there.  Moving the bucket tensors themselves onto the
-device seam is future work (see ROADMAP).
+* **Level-1 pass** — in parity mode, after the zero-clique compaction,
+  every distance-1 candidate comes from lattice adjacency (a cell grid
+  of node ids) and the box geometry (a shot's leftover in-box node with
+  the nodes one step from its box), with no ``(S, n, n)`` tensor.  One
+  acceptance settles that level, and only the still-unmatched nodes —
+  a small fraction at Fig. 8 densities — go on to the bucketed dense
+  build for distances >= 2.
+
+Every phase keeps the per-shot core's candidate order (pairs in
+row-major order before boundaries, per distance level): dropping
+matched nodes leaves the rest in their relative order, and open-window
+box tops stay each shot's ``t_max`` over its full node set.
 """
 
 from __future__ import annotations
@@ -197,6 +203,143 @@ def _region_bounds(reg, d: int, cmax: int) -> tuple:
             open_window)
 
 
+def _parity_prepass(d: int, allc: np.ndarray, ns: np.ndarray,
+                    offs: np.ndarray, has: np.ndarray, bounds: np.ndarray,
+                    open_w: np.ndarray, tmax_shot, parities: np.ndarray,
+                    arena: ScratchArena) -> tuple:
+    """Settle what parity mode can without dense tensors.
+
+    Zero-clique compaction first: with w_ano = 0 the in-box nodes pair
+    off at distance zero — weight 0, node-node, no boundary — so the
+    north-cut parity never sees them, and an odd shot's last in-box
+    node stays free, exactly as the in-tensor prematch leaves it.  Then
+    :func:`_settle_level_one` accepts distance 1.  Both drop nodes and
+    keep the rest in their relative order, which preserves the per-shot
+    core's candidate order among the survivors.
+
+    Returns ``(nodes, ns)``: the still-unmatched nodes, shot-major, and
+    their per-shot counts.
+    """
+    S_all = len(ns)
+    shot_of = np.repeat(np.arange(S_all), ns)
+    t, i, j = (allc[:, c].astype(np.int64) for c in range(3))
+    lo1, hi1, rlo, hi2, clo, tlo, thi = bounds
+    to_box = None
+    if has.any():
+        thi_f = (np.where(open_w, tmax_shot, thi)
+                 if tmax_shot is not None else thi)[shot_of]
+        to_box = (np.abs(t - np.minimum(np.maximum(t, tlo[shot_of]), thi_f))
+                  + np.abs(i - np.minimum(np.maximum(i, rlo[shot_of]),
+                                          hi1[shot_of]))
+                  + np.abs(j - np.minimum(np.maximum(j, clo[shot_of]),
+                                          hi2[shot_of])))
+        # Region-free shots sit beyond every box and boundary detour.
+        to_box[~has[shot_of]] = 4 * INT_LIMIT
+        inbox = to_box == 0
+        if inbox.any():
+            keep = ~inbox
+            odd = np.flatnonzero(np.bincount(shot_of[inbox],
+                                             minlength=S_all) & 1)
+            if len(odd):
+                idx = np.where(inbox, np.arange(len(inbox)), -1)
+                keep[np.maximum.reduceat(idx, offs[:-1])[odd]] = True
+            keep = np.flatnonzero(keep)
+            allc, shot_of, t, i, j, to_box = (
+                x[keep] for x in (allc, shot_of, t, i, j, to_box))
+    keep = _settle_level_one(d, shot_of, t, i, j, to_box, lo1, hi1, S_all,
+                             parities, arena)
+    if keep is not None:
+        allc, shot_of = allc[keep], shot_of[keep]
+    return allc, np.bincount(shot_of, minlength=S_all)
+
+
+def _settle_level_one(d: int, shot_of: np.ndarray, t: np.ndarray,
+                      i: np.ndarray, j: np.ndarray, to_box, lo1: np.ndarray,
+                      hi1: np.ndarray, S_all: int, parities: np.ndarray,
+                      arena: ScratchArena):
+    """Accept every distance-1 candidate from lattice adjacency.
+
+    After zero-clique compaction a shot holds at most one in-box node,
+    so, without duplicated coordinates, no candidate sits at distance 0
+    and level 1 opens the per-shot core's candidate order.  Its pairs
+    need no distance tensor: lattice neighbours, plus, on boxed shots,
+    the leftover in-box node with every node one step from its box.
+    Every such pair passes ``dist <= min(bdist_a, bdist_b)`` because
+    boundary distances are >= 1 in the engine envelope.  Pairs in local
+    ``(a, b)`` order, then boundary candidates at distance 1 in node
+    order, are exactly the level-1 slice of the per-shot core's stable
+    distance sort; :func:`_accept` takes them as one level, and its
+    north accepts flip ``parities``.
+
+    Neighbours come from a cell grid of node ids, filled group by group
+    of shots so it stays within :data:`BUCKET_ELEMENT_BUDGET` cells.
+    Returns the indices of the nodes left unmatched, or ``None`` when a
+    shot repeats a coordinate (distance-0 pairs) or alone overflows the
+    budget: the dense path then keeps the whole chunk.
+    """
+    N = len(t)
+    if not N:
+        return None
+    # Key strides from the chunk's own maxima + 2: a forward step never
+    # carries into the next coordinate, even off the lattice (j >= d).
+    T, I, J = (int(x.max()) + 2 for x in (t, i, j))
+    per_shot = T * I * J
+    if per_shot > BUCKET_ELEMENT_BUDGET:
+        return None
+    group = min(S_all, BUCKET_ELEMENT_BUDGET // per_shot)
+    key = ((shot_of % group * T + t) * I + i) * J + j
+    starts = np.searchsorted(shot_of, np.arange(0, S_all + group, group))
+    ids = np.arange(N, dtype=np.int32)
+    nbr = arena.take("nbr", 3 * N, np.int32).reshape(N, 3)
+    for g0, g1 in zip(starts[:-1].tolist(), starts[1:].tolist(),
+                      strict=True):
+        k = key[g0:g1]
+        cells = arena.take("cells", group * per_shot, np.int32)
+        cells[:] = -1
+        cells[k] = ids[g0:g1]
+        if (cells[k] != ids[g0:g1]).any():
+            return None
+        # Forward neighbours (t, i, j+1), (t, i+1, j), (t+1, i, j).
+        for c, step in enumerate((1, J, I * J)):
+            np.take(cells, k + step, out=nbr[g0:g1, c])
+    nbr = nbr.ravel()
+    hit = np.flatnonzero(nbr >= 0)
+    a = hit // 3
+    b = nbr[hit]
+    north = i + 1
+    south = d - 1 - i
+    if to_box is not None:
+        np.minimum(north, to_box + (lo1[shot_of] + 1), out=north)
+        np.minimum(south, to_box + (d - 1 - hi1[shot_of]), out=south)
+        x = np.flatnonzero(to_box == 0)
+        if len(x):
+            # Via-box pairs: each odd shot's leftover in-box node with
+            # the nodes at to_box == 1, less its direct neighbours
+            # (already listed above).
+            x_of = np.full(S_all, -1)
+            x_of[shot_of[x]] = x
+            y = np.flatnonzero(to_box == 1)
+            xy = x_of[shot_of[y]]
+            y, xy = y[xy >= 0], xy[xy >= 0]
+            far = (np.abs(t[y] - t[xy]) + np.abs(i[y] - i[xy])
+                   + np.abs(j[y] - j[xy])) != 1
+            a = np.concatenate([a, xy[far]])
+            b = np.concatenate([b, y[far]])
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    order = np.argsort(lo * N + hi, kind="stable")
+    bnd = np.flatnonzero(np.minimum(north, south) == 1)
+    matched = arena.take("matched", N, bool)
+    matched[:] = False
+    north_ids, _ = _accept(
+        [(1, lo[order].astype(np.int32), hi[order].astype(np.int32),
+          bnd.astype(np.int32), north[bnd] <= south[bnd])],
+        matched, arena, False)
+    parities ^= (np.bincount(shot_of[north_ids], minlength=S_all)
+                 & 1).astype(np.int8)
+    return np.flatnonzero(~matched)
+
+
 def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
                    collect: bool, allc: np.ndarray, regions=None):
     """Bucketed decode of pre-screened (eligible, nonempty) shots.
@@ -208,7 +351,9 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     (has-region, active-node count) and all region geometry — box
     clips, via folds, boundary detours, zero cliques — is evaluated
     from per-shot bound vectors broadcast over the bucket tensors, so
-    mixed-region chunks batch as well as shared-region ones.
+    mixed-region chunks batch as well as shared-region ones.  Parity
+    mode buckets only the nodes :func:`_parity_prepass` leaves
+    unmatched.
 
     Returns ``(parities, accepted)`` where ``parities`` is the ``(S,)``
     int8 north-cut parities and ``accepted`` (collect mode only) the
@@ -219,13 +364,14 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     parities = np.zeros(S_all, dtype=np.int8)
     ns = np.fromiter((len(x) for x in nodes_list), dtype=np.int64,
                      count=S_all)
-    nmax = int(ns.max(initial=0))
     pre_pairs: list = [[] for _ in range(S_all)] if collect else None
-    if nmax == 0:
+    if not len(allc):
         return parities, pre_pairs
 
     d = model.distance
     cmax = int(allc.max(initial=0))  # allc: callers' eligibility concat
+    offs = np.zeros(S_all + 1, dtype=np.int64)
+    np.cumsum(ns, out=offs[1:])
 
     # Per-shot region bounds (int64 staging; cast to the engine dtype
     # per bucket).  The shared-region path broadcasts one bounds tuple;
@@ -250,61 +396,23 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             open_w[s] = opn
 
     # Per-shot t_max over the *full* node set (open-window box tops must
-    # not move when zero-clique compaction drops in-box nodes below).
+    # not move when the parity prepass below drops nodes).
     tmax_shot = None
-    offs = None
-    if has.any():
-        offs = np.empty(S_all + 1, dtype=np.int64)
-        offs[0] = 0
-        np.cumsum(ns, out=offs[1:])
-        if open_w.any():
-            tmax_shot = np.maximum.reduceat(
-                allc[:, 0].astype(np.int64), offs[:-1])
-            tmax_shot[ns == 0] = 0  # reduceat reads across empty shots
+    if open_w.any():
+        tmax_shot = np.maximum.reduceat(
+            allc[:, 0].astype(np.int64), offs[:-1])
+        tmax_shot[ns == 0] = 0  # reduceat reads across empty shots
 
-    if not collect and has.any():
-        # Zero-clique compaction: with w_ano = 0 the in-box nodes pair
-        # off at distance zero — weight 0, node-node, no boundary — so
-        # the north-cut parity never sees them.  Parity mode drops the
-        # paired nodes *before* the dense builds (each bucket tensor
-        # shrinks quadratically in the survivors) instead of
-        # prematching them inside it; collect mode keeps the in-tensor
-        # prematch, which preserves the reference acceptance lists.
-        shot_of = np.repeat(np.arange(S_all), ns)
-        t_f = allc[:, 0].astype(np.int64)
-        i_f = allc[:, 1].astype(np.int64)
-        j_f = allc[:, 2].astype(np.int64)
-        thi_f = (np.where(open_w, tmax_shot, thi)
-                 if tmax_shot is not None else thi)[shot_of]
-        to_box = (np.abs(t_f - np.minimum(np.maximum(t_f, tlo[shot_of]),
-                                          thi_f))
-                  + np.abs(i_f - np.minimum(np.maximum(i_f, rlo[shot_of]),
-                                            hi1[shot_of]))
-                  + np.abs(j_f - np.minimum(np.maximum(j_f, clo[shot_of]),
-                                            hi2[shot_of])))
-        inbox = (to_box == 0) & has[shot_of]
-        if inbox.any():
-            cnt_in = np.add.reduceat(inbox.astype(np.int64), offs[:-1])
-            cnt_in[ns == 0] = 0
-            keep = ~inbox
-            odd = np.flatnonzero(cnt_in & 1)
-            if len(odd):
-                # An odd shot's last in-box node stays free, exactly as
-                # the in-tensor prematch leaves it.
-                idx = np.where(inbox, np.arange(len(inbox)), -1)
-                last = np.maximum.reduceat(idx, offs[:-1])
-                keep[last[odd]] = True
-            new_ns = ns - cnt_in + (cnt_in & 1)
-            changed = np.flatnonzero(new_ns != ns)
-            if len(changed):
-                nodes_list = list(nodes_list)
-                for s in changed.tolist():
-                    nodes_list[s] = np.asarray(
-                        nodes_list[s])[keep[offs[s]:offs[s + 1]]]
-                ns = new_ns
-                nmax = int(ns.max(initial=0))
-                if nmax == 0:
-                    return parities, pre_pairs
+    # Collect mode keeps every node: the in-tensor prematch and the full
+    # dense build reproduce the reference acceptance lists.
+    flat = allc
+    if not collect:
+        flat, ns = _parity_prepass(d, allc, ns, offs, has, bounds, open_w,
+                                   tmax_shot, parities, arena)
+        if not len(flat):
+            return parities, None
+        np.cumsum(ns, out=offs[1:])
+    nmax = int(ns.max())
 
     mag = max(cmax, d)
     if has.any():
@@ -314,6 +422,8 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     # boundary vias — is bounded by 6 * mag + a small constant; pick
     # the narrowest integer dtype that holds them.
     dd = np.int8 if 6 * mag + 8 <= 126 else np.int16
+    # Coordinate rows the bucket tensors gather from.
+    coords = np.ascontiguousarray(flat.T, dtype=dd)
 
     # has-region shots sort after region-free ones, so every bucket is
     # homogeneous in "carries a box" and the region math never touches
@@ -355,14 +465,12 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             S = len(ids)
             nn = n * n
             sz = S * nn
-            stacked = arena.take("stacked", S * n * 3, dd).reshape(S, n, 3)
-            for q, s in enumerate(ids):
-                stacked[q] = nodes_list[s]
             # Contiguous (3, S, n) coordinate planes: broadcasting from
             # the stride-3 column views runs ~3x slower than from
             # contiguous rows, and every dense pass reads these.
             planes = arena.take("planes", 3 * S * n, dd).reshape(3, S, n)
-            np.copyto(planes, stacked.transpose(2, 0, 1))
+            np.take(coords, offs[ids, None] + np.arange(n), axis=1,
+                    out=planes)
             t = planes[0]
             i = planes[1]
             j = planes[2]
@@ -533,8 +641,9 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             levels.append((int(lv), p_ga[psel], p_gb[psel],
                            b_ga[bsel], b_north[bsel]))
 
-    accepted = _accept(levels, matched, S_all, nmax, parities, arena,
-                       collect)
+    north_ids, accepted = _accept(levels, matched, arena, collect)
+    parities ^= (np.bincount(north_ids // np.int32(nmax), minlength=S_all)
+                 & 1).astype(np.int8)
     if not collect:
         return parities, None
 
@@ -547,7 +656,7 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     order = np.lexsort((acc_idx, acc_lvl, shot))
     shot_l = shot[order].tolist()
     a_l = local[order].tolist()
-    b_l = acc_b[order].tolist()
+    b_l = np.where(acc_b >= 0, acc_b % nmax, acc_b)[order].tolist()
     w_l = acc_lvl[order].tolist()
     out_lists = pre_pairs
     for s, a, b, w in zip(shot_l, a_l, b_l, w_l, strict=True):
@@ -555,19 +664,20 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     return parities, out_lists
 
 
-def _accept(levels, matched, S_all, nmax, parities, arena, collect):
+def _accept(levels, matched, arena, collect):
     """Level-wise round-based acceptance over flattened candidates.
 
     ``levels`` holds ``(lv, pair_ga, pair_gb, bnd_ga, bnd_north)``
     tuples ascending in distance; within a level pairs precede
     boundaries and both keep generation (row-major) order — exactly the
-    stable distance sort of the per-shot core.
-    Writes north-cut parities into ``parities``; in collect mode also
-    returns the accepted candidates as flat arrays
-    ``(gid_a, b_code, level, idx)`` with ``b_code`` the partner node's
-    local index or the boundary side constant.
+    stable distance sort of the per-shot core.  Node ids index
+    ``matched``, which marks every accepted endpoint.
+    Returns ``(north_ids, accepted)``: the ids of the nodes accepted
+    onto the north boundary and, in collect mode only, the accepted
+    candidates as flat arrays ``(gid_a, b_code, level, idx)`` with
+    ``b_code`` the partner node's id or the boundary side constant.
     """
-    first = arena.take("first", S_all * nmax, np.int32)
+    first = arena.take("first", len(matched), np.int32)
     first[:] = -1
     stamp = 0  # monotone position base: stale scatters never re-match
     north_gids: list = []
@@ -588,7 +698,7 @@ def _accept(levels, matched, S_all, nmax, parities, arena, collect):
                 np.arange(npair, dtype=np.int64)[alive_p],
                 (npair + np.arange(nbnd, dtype=np.int64))[alive_b]])
             bcode = np.concatenate([
-                (gb_p[alive_p] % np.int32(nmax)).astype(np.int64),
+                gb_p[alive_p].astype(np.int64),
                 np.where(nof_b[alive_b], NORTH, SOUTH).astype(np.int64)])
         ga_p, gb_p = ga_p[alive_p], gb_p[alive_p]
         ga_b = ga_b[alive_b]
@@ -661,19 +771,16 @@ def _accept(levels, matched, S_all, nmax, parities, arena, collect):
                                               dtype=np.int64))
                     acc_out[3].append(idx0[acc_idx])
 
-    if north_gids:
-        gn = np.concatenate(north_gids)
-        cnt = np.bincount((gn // np.int32(nmax)).astype(np.int64),
-                          minlength=S_all)
-        parities[:] = (cnt & 1).astype(np.int8)
+    north_ids = (np.concatenate(north_gids) if north_gids
+                 else np.zeros(0, np.int32))
     if not collect:
-        return None
+        return north_ids, None
     z64 = np.zeros(0, np.int64)
-    return (np.concatenate(acc_out[0]) if acc_out[0] else
-            np.zeros(0, np.int32),
-            np.concatenate(acc_out[1]) if acc_out[1] else z64,
-            np.concatenate(acc_out[2]) if acc_out[2] else z64,
-            np.concatenate(acc_out[3]) if acc_out[3] else z64)
+    return north_ids, (
+        np.concatenate(acc_out[0]) if acc_out[0] else np.zeros(0, np.int32),
+        np.concatenate(acc_out[1]) if acc_out[1] else z64,
+        np.concatenate(acc_out[2]) if acc_out[2] else z64,
+        np.concatenate(acc_out[3]) if acc_out[3] else z64)
 
 
 # ----------------------------------------------------------------------

@@ -103,10 +103,13 @@ class ServiceApp:
 
     def status(self, h: str) -> tuple[int, dict]:
         """``GET /campaigns/<spec_hash>``: the result or job state."""
+        # Job first: a job leaves the registry only after its record is
+        # stored, so one that completes between the lookups reads as
+        # complete here, not unknown.
+        job = self.scheduler.job(h)
         record = self.store.results.get_hash(h)
         if record is not None:
             return 200, self._complete_doc(h, record, cache_hit=True)
-        job = self.scheduler.job(h)
         if job is None:
             return 404, {"error": f"unknown campaign {h!r}",
                          "spec_hash": h}

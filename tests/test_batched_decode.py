@@ -24,6 +24,7 @@ from repro.decoding import (
     greedy_cut_parity,
     greedy_decode_fast,
 )
+from repro.decoding.batched import batched_region_cut_parities
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import backend, bitops
@@ -158,6 +159,120 @@ class TestBatchedEquivalence:
                             for x in nodes_list], dtype=np.int8)
             assert np.array_equal(
                 ref, batched_cut_parities(model, nodes_list))
+
+
+def _fig8_chunk(d, p, shots, seed, region=None):
+    """Memory shots at a Fig. 8 point: ``d`` cycles of phenomenological
+    noise, with an optional p_ano = 0.5 box, in lattice node order."""
+    noise = PhenomenologicalNoise(d, p, Scenario.from_region(region))
+    v, h, m = noise.sample_batch(shots, d, np.random.default_rng(seed))
+    return SyndromeLattice(d).detection_events_batch(v, h, m)
+
+
+def _assert_parities(model, nodes_list, arena=None):
+    ref = np.array([greedy_cut_parity(model, x) for x in nodes_list],
+                   dtype=np.int8)
+    got = batched_cut_parities(model, nodes_list, arena=arena)
+    assert np.array_equal(ref, got)
+
+
+class TestLevelOnePass:
+    """The parity-mode distance-1 pass (lattice adjacency, via-box pairs,
+    survivor compaction) keeps the per-shot core's outcomes."""
+
+    @pytest.mark.parametrize("d", [5, 7, 9, 13])
+    @pytest.mark.parametrize("p", [0.008, 0.025])
+    def test_lattice_sampled_fig8_points(self, d, p):
+        """Free, naive and rollback decodes of lattice-extracted shots
+        with a centred p_ano = 0.5 box."""
+        box = AnomalousRegion.centered(d, 4)
+        arena = ScratchArena()
+        free = _fig8_chunk(d, p, 40, 100 * d)
+        struck = _fig8_chunk(d, p, 40, 100 * d + 1, box)
+        _assert_parities(DistanceModel(d), free, arena)
+        _assert_parities(DistanceModel(d), struck, arena)
+        _assert_parities(DistanceModel(d, box, 0.0), struck, arena)
+
+    def test_odd_shot_leftover_matches_via_box(self):
+        """The leftover in-box node X of an odd shot pairs with Y (one
+        step below the box, two from X) at distance 1 before Y's direct
+        neighbour Z can; Z then retires south, X never goes north."""
+        box = AnomalousRegion(2, 2, 3, t_lo=0, t_hi=2)
+        model = DistanceModel(9, box, 0.0)
+        nodes = np.array([[0, 2, 2], [0, 2, 3], [0, 3, 3],  # in box
+                          [0, 5, 3], [0, 6, 3]])
+        assert greedy_cut_parity(model, nodes) == 0
+        _assert_parities(model, [nodes])
+
+    def test_open_window_top_counts_level_one_matches(self):
+        """The latest nodes pair at distance 1, yet the open box still
+        reaches their layer: the box top is the full shot's t_max."""
+        model = DistanceModel(9, AnomalousRegion(0, 0, 3, t_lo=7), 0.0)
+        nodes = np.array([[1, 5, 7], [2, 4, 2], [9, 6, 1], [9, 6, 2]])
+        _assert_parities(model, [nodes])
+        regions = [model.region] * 2
+        got = batched_region_cut_parities(9, regions, [nodes, nodes], 0.0)
+        assert got.tolist() == [greedy_cut_parity(model, nodes)] * 2
+
+    def test_level_one_settles_shots_and_whole_chunks(self):
+        """Shots matched entirely at distance 1 (neighbour pairs and
+        rows next to a boundary); a chunk of only those skips the
+        dense build."""
+        model = DistanceModel(7)
+        settled = [np.array([[0, 2, 2], [0, 2, 3]]),
+                   np.array([[0, 0, 4], [3, 5, 1], [4, 5, 1]]),
+                   np.array([[2, 0, 0]])]
+        arena = ScratchArena()
+        _assert_parities(model, settled, arena)
+        assert not any(role == "dist" for role, _ in arena._bufs)
+        _assert_parities(model, settled + [np.array([[0, 2, 2], [0, 2, 5]])],
+                         arena)
+        boxed = DistanceModel(7, AnomalousRegion(1, 1, 2), 0.0)
+        _assert_parities(boxed, [np.array([[0, 1, 1], [0, 2, 2]])] + settled)
+
+    def test_unsorted_unique_nodes(self):
+        rng = np.random.default_rng(31)
+        d = 9
+        box = AnomalousRegion.centered(d, 4)
+        chunk = [x[rng.permutation(len(x))]
+                 for x in _fig8_chunk(d, 0.025, 30, 32, box)]
+        _assert_parities(DistanceModel(d), chunk)
+        _assert_parities(DistanceModel(d, box, 0.0), chunk)
+
+    def test_columns_beyond_the_lattice(self):
+        """Eligible nodes with j >= d: key strides come from the chunk's
+        maxima, so no forward step aliases into the next row."""
+        rng = np.random.default_rng(5)
+        d = 7
+        chunk = []
+        for n in rng.integers(1, 30, 40):
+            cells = rng.choice(6 * (d - 1) * (d + 4), int(n), replace=False)
+            t, rest = np.divmod(cells, (d - 1) * (d + 4))
+            chunk.append(np.column_stack([t, *np.divmod(rest, d + 4)]))
+        _assert_parities(DistanceModel(d), chunk)
+        _assert_parities(DistanceModel(d, AnomalousRegion(1, 3, 3), 0.0),
+                         chunk)
+
+    def test_duplicated_coordinates_keep_the_dense_path(self):
+        d = 9
+        box = AnomalousRegion.centered(d, 4)
+        chunk = _fig8_chunk(d, 0.025, 20, 7, box)
+        chunk[3] = np.vstack([chunk[3], chunk[3][:1]])
+        _assert_parities(DistanceModel(d), chunk)
+        _assert_parities(DistanceModel(d, box, 0.0), chunk)
+
+    def test_grid_groups_and_budget_overflow(self, monkeypatch):
+        """Small budgets split the neighbour grid into shot groups, and a
+        shot whose grid alone overflows it leaves the whole chunk to the
+        dense path."""
+        d = 9
+        box = AnomalousRegion.centered(d, 4)
+        chunk = _fig8_chunk(d, 0.025, 24, 9, box)
+        # One shot's grid holds (9 + 2) * (7 + 2) * (8 + 2) = 990 cells.
+        for budget in (3000, 5000, 256):
+            monkeypatch.setattr(batched_mod, "BUCKET_ELEMENT_BUDGET", budget)
+            _assert_parities(DistanceModel(d), chunk)
+            _assert_parities(DistanceModel(d, box, 0.0), chunk)
 
 
 class TestBatchDistancePrimitives:

@@ -14,11 +14,13 @@ import pytest
 
 from repro.decoding.batched import (ScratchArena, _float_bucket_parities,
                                     batched_region_cut_parities)
+from repro.decoding.graph import SyndromeLattice
 from repro.decoding.greedy import greedy_cut_parity
 from repro.decoding.weights import DistanceModel, region_signature
-from repro.noise.models import AnomalousRegion
+from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim.batch import DetectionShotKernel, EndToEndShotKernel
+from repro.sim.endtoend import estimate_strike_region
 
 from reference_engines import (reference_detection_trials,
                                reference_endtoend_run)
@@ -61,8 +63,57 @@ def _random_chunk(rng, d, shots, none_frac=0.2, t_span=30):
     return regions, nodes_list
 
 
+def _struck_shots(rng, d, p, shots, cycles):
+    """End-to-end shaped shots, sampled and extracted on the lattice:
+    each carries its own p_ano = 0.5 strike (uniform position, onset
+    anywhere in the window, open or closed window)."""
+    lattice = SyndromeLattice(d)
+    strikes, nodes_list = [], []
+    for _ in range(shots):
+        onset = int(rng.integers(0, cycles))
+        t_hi = (None if rng.random() < 0.5
+                else onset + int(rng.integers(1, d + 1)))
+        strike = AnomalousRegion.random(d, 4, rng, t_lo=onset, t_hi=t_hi)
+        noise = PhenomenologicalNoise(d, p, Scenario.from_region(strike))
+        v, h, m = noise.sample_batch(1, cycles, rng)
+        strikes.append(strike)
+        nodes_list.append(lattice.detection_events_batch(v, h, m)[0])
+    return strikes, nodes_list
+
+
+def _estimates(rng, d, strikes):
+    """Detection-unit estimates of the strikes: the box re-centred up to
+    one node off, an onset a few cycles early or late, an open window;
+    a fifth of the shots miss (no region)."""
+    out = []
+    for strike in strikes:
+        if rng.random() < 0.2:
+            out.append(None)
+            continue
+        row, col = (x + 2 + int(rng.integers(-1, 2))
+                    for x in (strike.row_lo, strike.col_lo))
+        out.append(estimate_strike_region(
+            d, 4, row, col, strike.t_lo + int(rng.integers(-2, 6))))
+    return out
+
+
 class TestBatchedRegionCutParities:
     """batched_region_cut_parities == per-shot greedy_cut_parity."""
+
+    @pytest.mark.parametrize("d", [5, 7, 9, 13])
+    @pytest.mark.parametrize("p", [0.008, 0.025])
+    def test_lattice_sampled_per_shot_boxes(self, d, p):
+        """Oracle (true strikes, open and closed windows) and detected
+        (estimates with varying onsets) decodes of lattice-extracted
+        shots at Fig. 8 densities."""
+        rng = np.random.default_rng(1000 * d + int(1000 * p))
+        strikes, nodes_list = _struck_shots(rng, d, p, 24, 2 * d)
+        arena = ScratchArena()
+        for regions in (strikes, _estimates(rng, d, strikes)):
+            got = batched_region_cut_parities(d, regions, nodes_list, 0.0,
+                                              arena=arena)
+            assert np.array_equal(
+                got, _reference(d, regions, nodes_list, 0.0))
 
     @pytest.mark.parametrize("w_ano", [0.0, 0.35])
     def test_property_sweep_mixed_regions(self, rng, w_ano):

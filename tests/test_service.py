@@ -205,6 +205,31 @@ class TestValidation:
         finally:
             app.close()
 
+    def test_job_completing_during_status_is_not_unknown(self, tmp_path):
+        """The campaign finishes between ``status``'s two lookups: it
+        must read complete, never 404 (a job leaves the registry only
+        after its record is stored)."""
+        release, started = threading.Event(), threading.Event()
+        app = ServiceApp(tmp_path,
+                         executor_factory=lambda: Gated(release, started))
+        try:
+            _, doc = app.submit(_body(_spec()), "public")
+            assert started.wait(30)
+            lookup = app.scheduler.job
+
+            def completing_lookup(spec_hash):
+                job = lookup(spec_hash)
+                release.set()
+                assert job.wait(30)
+                return lookup(spec_hash)
+
+            app.scheduler.job = completing_lookup
+            code, doc = app.status(doc["spec_hash"])
+            assert code == 200, doc
+            assert doc["status"] == "complete"
+        finally:
+            app.close()
+
 
 class TestPartials:
     def test_partial_streams_monotone_shots(self, tmp_path):
