@@ -22,19 +22,21 @@ Stage throughputs and speedup ratios accumulate in ``BENCH_batch.json``
 machine-readable across PRs.
 """
 
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro import campaigns
+from repro.campaigns.checkpoint import CheckpointStore
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion
 from repro.noise.models import PACKED_SAMPLE_CHUNK, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
-from repro.sim.batch import (BatchShotRunner, EndToEndShotKernel,
-                             MemoryShotKernel)
+from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel
 from repro.sim.memory import MemoryExperiment
 
 from _common import emit_json, mc_samples, mc_workers, print_table, scale
@@ -323,13 +325,12 @@ def bench_decode_stage_speedup(benchmark):
     # Campaign-level certification: same (seed, batch_size), same counts.
     fails = {}
     for mode in ("pershot", "batched"):
-        kernel = MemoryShotKernel(
-            13, PHYSICAL_RATES[-1],
-            Scenario.from_region(AnomalousRegion.centered(13, ANOMALY_SIZE)),
-            informed=True, decode=mode)
-        res = BatchShotRunner(kernel, batch_size=256, seed=71,
-                              packing="bits").run(1024)
-        fails[mode] = int(np.count_nonzero(res.outcomes))
+        spec = campaigns.MemorySpec(
+            distance=13, p=PHYSICAL_RATES[-1], samples=1024,
+            region="centered", anomaly_size=ANOMALY_SIZE, informed=True,
+            decode=mode, seed=71, batch_size=256, packing="bits")
+        res = campaigns.run(spec, executor=campaigns.InlineExecutor())
+        fails[mode] = res.counts["failures"]
     assert fails["pershot"] == fails["batched"], \
         "batched campaign diverged from the per-shot packed path"
 
@@ -423,15 +424,20 @@ def bench_e2e_decode_stage_speedup(benchmark):
         rows + [["TOTAL", f"{pershot_total * 1e3:.0f}",
                  f"{batched_total * 1e3:.0f}", f"{ratio:.1f}x"]])
 
-    # Campaign-level certification: same (seed, batch_size), same rows.
+    # Campaign-level certification: same (seed, batch_size), same rows,
+    # read back chunk by chunk from each campaign's checkpoint shard.
     camp = {}
-    for mode in ("pershot", "batched"):
-        kernel = EndToEndShotKernel(
-            9, PHYSICAL_RATES[0], _strike(onset), cycles=onset + 18,
-            c_win=c_win, n_th=8, alpha=0.01, decode=mode)
-        res = BatchShotRunner(kernel, batch_size=64, seed=71,
-                              packing="bits").run(192)
-        camp[mode] = res.outcomes
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore(tmp)
+        for mode in ("pershot", "batched"):
+            spec = campaigns.ScenarioSpec(
+                9, PHYSICAL_RATES[0], 192, _strike(onset), mode="endtoend",
+                cycles=onset + 18, c_win=c_win, n_th=8, alpha=0.01,
+                decode=mode, seed=71, batch_size=64, packing="bits")
+            campaigns.run(spec, executor=campaigns.InlineExecutor(),
+                          checkpoint=store)
+            chunks = store.shard(spec).load()
+            camp[mode] = np.concatenate([chunks[i] for i in sorted(chunks)])
     assert np.array_equal(camp["pershot"], camp["batched"]), \
         "region-bucketed campaign diverged from the per-shot path"
 

@@ -5,7 +5,8 @@ by the spec's hash (``<spec_hash>.jsonl``).  The first line is a header
 carrying the full spec JSON; every later line is one finished chunk:
 its index in the campaign's chunk plan, the outcome array (dtype, shape
 and exact values — float64 round-trips losslessly through ``repr``),
-the chunk's cache-counter deltas, and a CRC-32 of the payload.
+and a CRC-32 of the payload.  Records written by older releases also
+carry a ``cache`` field of matching-cache counters; it is ignored.
 
 Because a chunk's outcome is a pure function of ``(seed, batch_size,
 chunk index)`` (the :func:`repro.sim.batch.chunk_plan` contract), a
@@ -51,7 +52,7 @@ def _payload_crc(dtype: str, shape: list, data: list) -> int:
     return zlib.crc32(doc.encode("utf-8"))
 
 
-def chunk_record(index: int, outcome: np.ndarray, cache_stats: tuple) -> dict:
+def chunk_record(index: int, outcome: np.ndarray) -> dict:
     """One finished chunk as its CRC-stamped wire record.
 
     This is *the* chunk wire format: shard files append these records,
@@ -72,27 +73,25 @@ def chunk_record(index: int, outcome: np.ndarray, cache_stats: tuple) -> dict:
         "dtype": dtype,
         "shape": shape,
         "data": data,
-        "cache": [int(c) for c in cache_stats],
         "crc": _payload_crc(dtype, shape, data),
     }
 
 
-def decode_chunk(
-        record, where: str) -> tuple[int, np.ndarray, tuple[int, int, int]]:
-    """Validate a chunk wire record back into ``(index, outcomes, stats)``.
+def decode_chunk(record, where: str) -> tuple[int, np.ndarray]:
+    """Validate a chunk wire record back into ``(index, outcomes)``.
 
     ``where`` names the record's origin for error messages (a shard
     line, a queue result file).  Raises :class:`CheckpointError` on any
     malformation — wrong type, missing fields, CRC mismatch, payload
-    not matching its declared shape/dtype.
+    not matching its declared shape/dtype.  Fields outside the payload
+    (an older record's ``cache`` counters) are ignored.
     """
     if not isinstance(record, dict) or record.get("type") != "chunk":
         raise CheckpointError(f"{where} is not a chunk record")
     try:
         index = record["index"]
         dtype, shape = record["dtype"], record["shape"]
-        data, cache = record["data"], record["cache"]
-        crc = record["crc"]
+        data, crc = record["data"], record["crc"]
     except KeyError as exc:
         raise CheckpointError(f"{where} is missing field {exc}") from exc
     if not isinstance(index, int) or index < 0:
@@ -109,10 +108,7 @@ def decode_chunk(
         raise CheckpointError(
             f"{where} payload does not match its declared shape/dtype "
             f"({exc})") from exc
-    if not (isinstance(cache, list) and len(cache) == 3
-            and all(isinstance(c, int) for c in cache)):
-        raise CheckpointError(f"{where} has a bad cache-stats triple")
-    return index, outcome, (cache[0], cache[1], cache[2])
+    return index, outcome
 
 
 class ShardFile:
@@ -129,8 +125,8 @@ class ShardFile:
         self.recorded_batch_size: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def load(self) -> dict[int, tuple[np.ndarray, tuple[int, int, int]]]:
-        """Restore finished chunks: ``{index: (outcomes, cache_stats)}``.
+    def load(self) -> dict[int, np.ndarray]:
+        """Restore finished chunks: ``{index: outcomes}``.
 
         Missing file means a fresh campaign (empty dict).  A truncated
         final line is dropped; everything else malformed raises
@@ -158,13 +154,13 @@ class ShardFile:
         if not records:
             return {}
         self._check_header(records[0])
-        chunks: dict[int, tuple[np.ndarray, tuple[int, int, int]]] = {}
+        chunks: dict[int, np.ndarray] = {}
         for pos, record in enumerate(records[1:], start=2):
-            index, outcome, cache = self._parse_chunk(record, pos)
+            index, outcome = self._parse_chunk(record, pos)
             if index in chunks:
                 raise CheckpointError(
                     f"{self.path}: duplicate record for chunk {index}")
-            chunks[index] = (outcome, cache)
+            chunks[index] = outcome
         return chunks
 
     def _check_header(self, header) -> None:
@@ -215,7 +211,6 @@ class ShardFile:
             fh.truncate(keep)
 
     def append(self, index: int, outcome: np.ndarray,
-               cache_stats: tuple,
                batch_size: Optional[int] = None) -> None:
         """Durably record one finished chunk (header written lazily).
 
@@ -231,7 +226,7 @@ class ShardFile:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._drop_partial_tail()
         is_new = not self.path.exists() or self.path.stat().st_size == 0
-        record = chunk_record(index, outcome, cache_stats)
+        record = chunk_record(index, outcome)
         with open(self.path, "a", encoding="utf-8") as fh:
             if is_new:
                 header = {"type": "header", "format": FORMAT,

@@ -63,9 +63,9 @@ import numpy as np
 
 from repro.campaigns.checkpoint import (CheckpointError, chunk_record,
                                         decode_chunk)
-from repro.campaigns.executors import DistributedExecutor
+from repro.campaigns.executors import DistributedExecutor, _batch_fn
 from repro.campaigns.specs import spec_from_dict, spec_hash, spec_to_dict
-from repro.sim.batch import _batch_fn, _cache_stats, chunk_plan
+from repro.sim.batch import chunk_plan
 
 #: Task-file format version (bump on incompatible changes).
 TASK_FORMAT = 1
@@ -193,7 +193,7 @@ class Worker:
     injected stall can yield control mid-chunk exactly where a
     preempted real worker would lose it.
 
-    Kernels (and their decoders/caches) are built once per
+    Kernels (and their decoders) are built once per
     ``(spec hash, batch size)`` and reused across chunks, mirroring the
     process-pool workers.  The chunk seed is re-derived on this side via
     :func:`repro.sim.batch.chunk_plan` — the placement-independence
@@ -289,7 +289,7 @@ class Worker:
         return None
 
     def _fault(self, point: str, doc: dict, lease: Path,
-               payload: Optional[tuple], next_phase: str) -> bool:
+               payload: Optional[np.ndarray], next_phase: str) -> bool:
         """Fire an injection point; True when the step must yield."""
         if self.faults is None:
             return False
@@ -316,7 +316,7 @@ class Worker:
         raise ValueError(
             f"fault action {event.action!r} is not valid at {point!r}")
 
-    def _compute(self, doc: dict) -> tuple[np.ndarray, tuple[int, int, int]]:
+    def _compute(self, doc: dict) -> np.ndarray:
         if doc.get("format") != TASK_FORMAT:
             raise CheckpointError(
                 f"unsupported task format {doc.get('format')!r}")
@@ -337,21 +337,15 @@ class Worker:
             self._engines[(digest, batch_size)] = engine
         kernel, run, plan = engine
         index = int(doc["index"])
-        if index >= len(plan) or plan[index][0] != doc["size"]:
+        if not 0 <= index < len(plan) or plan[index][0] != doc["size"]:
             raise CheckpointError(
                 f"task {index} does not fit the chunk plan "
                 f"(size {doc['size']} vs plan)")
         size, child = plan[index]
-        before = _cache_stats(kernel)
-        outcome = run(size, np.random.default_rng(child))
-        after = _cache_stats(kernel)
-        stats = tuple(a - b for a, b in zip(after, before, strict=True))
-        return outcome, stats
+        return run(size, np.random.default_rng(child))
 
-    def _deliver(self, doc: dict, lease: Path,
-                 payload: tuple[np.ndarray, tuple[int, int, int]]) -> None:
-        outcome, stats = payload
-        record = chunk_record(doc["index"], outcome, stats)
+    def _deliver(self, doc: dict, lease: Path, outcome: np.ndarray) -> None:
+        record = chunk_record(doc["index"], outcome)
         record["spec_hash"] = doc["spec_hash"]
         record["attempt"] = doc["attempt"]
         record["worker"] = self.worker_id
@@ -550,7 +544,7 @@ class _Supervisor:
             "quarantined": 0, "drained_inline": 0, "workers_seen": 0,
             "dead_workers": 0, "max_attempt": 0,
         }
-        self.ready: dict[int, tuple[np.ndarray, tuple]] = {}
+        self.ready: dict[int, np.ndarray] = {}
         self.consumed: set[int] = set()
         self.attempt: dict[int, int] = {}
         self.due: dict[int, tuple[float, int]] = {}
@@ -576,7 +570,7 @@ class _Supervisor:
                     if index not in self.ready and not progressed:
                         self._idle()
                 self.consumed.add(index)
-                yield self.ready.pop(index)
+                yield self.ready.pop(index), ()
         finally:
             self._cleanup()
 
@@ -648,7 +642,7 @@ class _Supervisor:
                 if doc.get("spec_hash") != self.bound.digest:
                     raise CheckpointError(
                         f"{path}: record belongs to another spec")
-                ridx, outcome, stats = decode_chunk(doc, str(path))
+                ridx, outcome = decode_chunk(doc, str(path))
                 if ridx != index:
                     raise CheckpointError(
                         f"{path}: record is for chunk {ridx}")
@@ -662,7 +656,7 @@ class _Supervisor:
                 self._note_lost(index, "corrupt_records")
                 continue
             path.unlink(missing_ok=True)
-            self.ready[index] = (outcome, stats)
+            self.ready[index] = outcome
             self.due.pop(index, None)
             progressed = True
         return progressed
@@ -747,11 +741,8 @@ class _Supervisor:
             self.kernel.prepare()
             self._inline_run = _batch_fn(self.kernel, self.packing)
         size, child = self.task_by_index[index]
-        before = _cache_stats(self.kernel)
-        outcome = self._inline_run(size, np.random.default_rng(child))
-        after = _cache_stats(self.kernel)
-        stats = tuple(a - b for a, b in zip(after, before, strict=True))
-        self.ready[index] = (outcome, stats)
+        self.ready[index] = self._inline_run(size,
+                                             np.random.default_rng(child))
         self.due.pop(index, None)
 
     def _remove_task_files(self, index: int) -> None:

@@ -5,8 +5,9 @@ SeedSequence)`` — independent because the per-chunk ``SeedSequence``
 contract (PR 1) makes every chunk's outcome a pure function of
 ``(campaign seed, batch_size, chunk index)``, never of where or when it
 runs.  An :class:`Executor` maps that list to an in-order stream of
-``(outcome array, cache stats)``; the campaign runner does the rest
-(checkpointing, streaming estimates, early stop).
+``(outcome array, stats)`` pairs; the campaign runner reads only the
+outcomes and does the rest (checkpointing, streaming estimates, early
+stop).
 
 Three implementations:
 
@@ -15,9 +16,8 @@ Three implementations:
   whole request, memory-capped by
   :func:`repro.sim.batch.default_chunk_shots` — the modern ``workers=0``
   path.
-* :class:`ProcessPoolExecutor` — today's :class:`~repro.sim.batch`
-  ``multiprocessing`` fan-out: per-worker kernel/decoder reuse, ordered
-  ``imap`` streaming.
+* :class:`ProcessPoolExecutor` — a ``multiprocessing`` fan-out with
+  per-worker kernel/decoder reuse and ordered, windowed streaming.
 * :class:`DistributedExecutor` — the multi-host seam.  Subclasses
   implement :meth:`DistributedExecutor.dispatch` (or override
   ``run_chunks`` wholesale); the placement-independence contract above
@@ -33,11 +33,33 @@ from __future__ import annotations
 import collections
 import itertools
 import multiprocessing
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-from repro.sim.batch import _batch_fn, _cache_stats, _pool_init, _pool_run
+
+def _batch_fn(kernel: Any, packing: str) -> Callable[..., np.ndarray]:
+    """The kernel entry point for a packing mode (``"bits"`` falls back
+    to the float path when a kernel has no packed variant)."""
+    if packing == "bits" and hasattr(kernel, "run_batch_packed"):
+        return kernel.run_batch_packed
+    return kernel.run_batch
+
+
+#: The chunk entry point of this pool worker, set by :func:`_pool_init`.
+_WORKER_RUN: Callable[..., np.ndarray]
+
+
+def _pool_init(kernel: Any, packing: str) -> None:
+    global _WORKER_RUN
+    kernel.prepare()  # decoder built once, reused per chunk
+    _WORKER_RUN = _batch_fn(kernel, packing)
+
+
+def _pool_run(task: tuple[int, np.random.SeedSequence]
+              ) -> tuple[np.ndarray, tuple]:
+    shots, seed = task
+    return _WORKER_RUN(shots, np.random.default_rng(seed)), ()
 
 
 class Executor:
@@ -79,9 +101,12 @@ class Executor:
 
     def run_chunks(self, kernel, packing: str,
                    tasks: list) -> Iterator[tuple[np.ndarray, tuple]]:
-        """Yield ``(outcomes, cache_stats)`` per task, in task order.
+        """Yield ``(outcomes, stats)`` per task, in task order.
 
         ``tasks`` is a sequence of ``(size, numpy.random.SeedSequence)``.
+        The runner reads only ``outcomes``.  The pair shape stays so
+        that existing subclasses keep working; the in-tree executors
+        yield ``()`` for ``stats``.
         Implementations may compute lazily — the consumer stops
         iterating when a campaign early-stops, so implementations must
         not eagerly run every task up front — but must preserve order,
@@ -113,18 +138,15 @@ class InlineExecutor(Executor):
         kernel.prepare()
         run = _batch_fn(kernel, packing)
         for size, child in tasks:
-            before = _cache_stats(kernel)
-            outcome = run(size, np.random.default_rng(child))
-            after = _cache_stats(kernel)
-            yield outcome, tuple(a - b for a, b in zip(after, before, strict=True))
+            yield run(size, np.random.default_rng(child)), ()
 
 
 class ProcessPoolExecutor(Executor):
     """Fan chunks over a ``multiprocessing`` pool of ``workers``.
 
-    Each worker builds its kernel (and decoder, scratch arena, matching
-    cache) once and reuses it for every chunk it is handed; results
-    stream back in task order.
+    Each worker builds its kernel (and decoder, scratch arena) once and
+    reuses it for every chunk it is handed; results stream back in task
+    order.
 
     Submissions are windowed: at most ``max_inflight`` chunks (default
     ``2 * workers``) are outstanding at any moment, and the next task is
@@ -177,8 +199,8 @@ class DistributedExecutor(Executor):
 
     * a chunk is fully described by ``(spec JSON, chunk index, size,
       child SeedSequence state)`` — the kernel is rebuilt on the remote
-      host from the spec, exactly as :func:`repro.sim.batch._pool_init`
-      rebuilds it in a pool worker;
+      host from the spec, exactly as :func:`_pool_init` prepares it in a
+      pool worker;
     * outcomes are placement independent (per-chunk ``SeedSequence``,
       PR 1), so any host may run any chunk and results merge by index,
       bit-identical to a local run;
@@ -199,7 +221,7 @@ class DistributedExecutor(Executor):
 
     def dispatch(self, task_index: int, size: int,
                  child: np.random.SeedSequence) -> tuple[np.ndarray, tuple]:
-        """Run one chunk somewhere and return ``(outcomes, cache_stats)``."""
+        """Run one chunk somewhere and return ``(outcomes, stats)``."""
         raise NotImplementedError(
             "DistributedExecutor is an interface: subclass it and "
             "implement dispatch() over your transport")

@@ -178,7 +178,7 @@ def seed_refinement(store: Optional[CheckpointStore],
     plan = chunk_plan(int(getattr(spec, field)), batch,
                       getattr(spec, "seed"))
     usable = [(index, done[index]) for index in sorted(done)
-              if index < len(plan) and len(done[index][0]) == plan[index][0]]
+              if index < len(plan) and len(done[index]) == plan[index][0]]
     if not usable:
         return 0
 
@@ -192,9 +192,8 @@ def seed_refinement(store: Optional[CheckpointStore],
     tmp = target.path.with_name(f".{target.path.name}.tmp-{os.getpid()}")
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header) + "\n")
-        for index, (outcome, cache_stats) in usable:
-            fh.write(json.dumps(chunk_record(index, outcome, cache_stats))
-                     + "\n")
+        for index, outcome in usable:
+            fh.write(json.dumps(chunk_record(index, outcome)) + "\n")
         fh.flush()
         if config.checkpoint_fsync():
             os.fsync(fh.fileno())

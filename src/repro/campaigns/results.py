@@ -2,7 +2,7 @@
 
 Every campaign — whatever its kind — comes back as a
 :class:`CampaignResult`: the headline ``estimates`` (floats), the raw
-``counts`` (shots, failures, cache statistics), and a
+``counts`` (shots, failures, the shot request), and a
 :class:`Provenance` block recording exactly what produced them (spec
 hash, seed, backend, package version, executor, wall clock, chunk
 accounting).  ``to_dict()`` gives the JSON the CLI prints; ``detail``

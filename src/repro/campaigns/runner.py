@@ -9,10 +9,9 @@ spec resolves to the scenario campaign it simulates
 :func:`repro.sim.batch.chunk_plan` (the ``(seed, batch_size)``
 reproducibility contract), chunks execute on the chosen
 :class:`~repro.campaigns.executors.Executor`, finished chunks stream
-into the same estimate/early-stop logic as
-:class:`~repro.sim.batch.BatchShotRunner`, and — when a checkpoint
-store is given — every finished chunk is durably appended to the
-spec's shard before the next one runs, so a killed campaign resumes
+into one estimate/early-stop loop (:func:`_run_chunked`), and — when a
+checkpoint store is given — every finished chunk is durably appended to
+the spec's shard before the next one runs, so a killed campaign resumes
 bit-identically.
 """
 
@@ -33,7 +32,8 @@ from repro.campaigns.specs import (DetectionSpec, EndToEndSpec, MemorySpec,
 from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel, chunk_plan,
-                             default_chunk_shots, wilson_tight)
+                             default_chunk_shots)
+from repro.sim.montecarlo import wilson_interval
 
 #: The campaign registry: spec type -> runner callable.
 _RUNNERS: dict[type, Callable] = {}
@@ -189,12 +189,26 @@ def effective_batch_size(spec, kernel, shots: int, per_shot_elements: int,
     return int(kernel.default_batch_size)
 
 
+def wilson_tight(successes: int, trials: int,
+                 target_rel_width: Optional[float]) -> bool:
+    """The shot engine's early-stop predicate.
+
+    True once the Wilson interval of the streamed success count is
+    narrower than ``target_rel_width`` times its mean.  Restored and
+    computed chunks pass through it alike, so a resumed campaign stops
+    after exactly the same chunk as an uninterrupted one.
+    """
+    if target_rel_width is None or successes == 0:
+        return False
+    lo, hi = wilson_interval(successes, trials)
+    return (hi - lo) <= target_rel_width * (successes / trials)
+
+
 @dataclass(frozen=True)
 class _ChunkedOutcome:
     outcomes: np.ndarray
     successes: int
     trials: int
-    cache_stats: tuple[int, int, int]
     chunks: int
     resumed: int
     requested: int
@@ -208,10 +222,11 @@ def _run_chunked(kernel, spec, shots: int, batch_size: int,
     """Execute a shot campaign chunk by chunk, resuming from its shard.
 
     Restored and freshly computed chunks are ingested *in plan order*
-    through the same streamed-count/early-stop predicate as
-    :meth:`repro.sim.batch.BatchShotRunner.run`, so outcomes — and the
-    chunk a ``target_rel_width`` campaign stops after — are bit-equal
-    whether zero, some, or all chunks came from the checkpoint.
+    through one streamed-count/early-stop predicate
+    (:func:`wilson_tight`), so outcomes — and the chunk a
+    ``target_rel_width`` campaign stops after — are bit-equal whether
+    zero, some, or all chunks came from the checkpoint.  Only the
+    outcome half of each executor item is read.
     """
     shard = store.shard(spec) if store is not None else None
     done = {}
@@ -237,9 +252,9 @@ def _run_chunked(kernel, spec, shots: int, batch_size: int,
             raise CheckpointError(
                 f"shard holds chunk {index} but the plan has only "
                 f"{len(tasks)} chunks — stale or foreign checkpoint")
-        if len(done[index][0]) != tasks[index][0]:
+        if len(done[index]) != tasks[index][0]:
             raise CheckpointError(
-                f"shard chunk {index} holds {len(done[index][0])} shots "
+                f"shard chunk {index} holds {len(done[index])} shots "
                 f"but the plan expects {tasks[index][0]}")
 
     pending = [(i, task) for i, task in enumerate(tasks) if i not in done]
@@ -252,21 +267,18 @@ def _run_chunked(kernel, spec, shots: int, batch_size: int,
 
     collected: list[np.ndarray] = []
     successes = trials = 0
-    cache_stats = np.zeros(3, dtype=np.int64)
     chunks = resumed = 0
     column = getattr(kernel, "success_column", 0)
     try:
         for index in range(len(tasks)):
             if index in done:
-                outcome, stats = done[index]
+                outcome = done[index]
                 resumed += 1
             else:
-                outcome, stats = next(stream)
+                outcome, _ = next(stream)
                 if shard is not None:
-                    shard.append(index, outcome, stats,
-                                 batch_size=batch_size)
+                    shard.append(index, outcome, batch_size=batch_size)
             collected.append(outcome)
-            cache_stats += np.asarray(stats, dtype=np.int64)
             chunks += 1
             col = outcome if outcome.ndim == 1 else outcome[:, column]
             successes += int(np.count_nonzero(col))
@@ -281,7 +293,6 @@ def _run_chunked(kernel, spec, shots: int, batch_size: int,
         outcomes=np.concatenate(collected),
         successes=successes,
         trials=trials,
-        cache_stats=tuple(int(c) for c in cache_stats),
         chunks=chunks,
         resumed=resumed,
         requested=shots,
@@ -313,12 +324,6 @@ def _provenance(spec, executor: Executor, started: float,
     )
 
 
-def _engine_counts(co: _ChunkedOutcome) -> dict:
-    hits, misses, evictions = co.cache_stats
-    return {"requested": co.requested, "cache_hits": hits,
-            "cache_misses": misses, "cache_evictions": evictions}
-
-
 # ----------------------------------------------------------------------
 # Campaign kinds
 # ----------------------------------------------------------------------
@@ -333,7 +338,7 @@ def _memory_summary(co: _ChunkedOutcome, cycles: int) -> tuple:
         "std_error": detail.estimate.std_error,
     }
     counts = {"failures": co.successes, "samples": co.trials,
-              **_engine_counts(co)}
+              "requested": co.requested}
     return estimates, counts, detail
 
 
@@ -360,7 +365,7 @@ def _endtoend_summary(co: _ChunkedOutcome) -> tuple:
               "detected_failures": detail.detected_failures,
               "oracle_failures": detail.oracle_failures,
               "detections": detail.detections,
-              **_engine_counts(co)}
+              "requested": co.requested}
     return estimates, counts, detail
 
 
@@ -386,7 +391,7 @@ def _detection_summary(co: _ChunkedOutcome) -> tuple:
     counts = {"trials": detail.trials,
               "false_positives": detail.false_positives,
               "detections": detail.detections,
-              **_engine_counts(co)}
+              "requested": co.requested}
     return estimates, counts, detail
 
 

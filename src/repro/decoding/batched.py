@@ -787,67 +787,21 @@ def _accept(levels, matched, arena, collect):
 # Public API
 # ----------------------------------------------------------------------
 def batched_cut_parities(model: DistanceModel, nodes_list: list,
-                         cache=None,
                          arena: Optional[ScratchArena] = None) -> np.ndarray:
     """North-cut parities of the greedy matching for a chunk of shots.
 
     Equals ``[greedy_cut_parity(model, nodes) for nodes in nodes_list]``
     bit for bit; shots outside the integer engine's envelope (float
     weights, negative/huge coordinates) run through the per-shot
-    reference core.  ``cache`` is an optional
-    :class:`repro.sim.batch.MatchingCache`: lookups and stores use the
-    same keys and hit accounting as the per-shot path (below the LRU
-    capacity; at saturation the bulk stores can evict in a different
-    order, which shifts later stats but never outcomes — the cache is
-    pure memoization), and duplicate node sets inside the chunk decode
-    once.
+    reference core.
     """
-    S = len(nodes_list)
-    out = np.zeros(S, dtype=np.int8)
-    if S == 0:
+    out = np.zeros(len(nodes_list), dtype=np.int8)
+    slots = [s for s, nodes in enumerate(nodes_list) if len(nodes)]
+    if not slots:
         return out
     if arena is None:
         arena = ScratchArena()
-
-    sub_nodes: list = []
-    sub_slots: list = []
-    sub_keys: list = []
-    if cache is None:
-        for s, nodes in enumerate(nodes_list):
-            if len(nodes):
-                sub_nodes.append(nodes)
-                sub_slots.append([s])
-                sub_keys.append(None)
-    else:
-        by_key: dict = {}
-        for s, nodes in enumerate(nodes_list):
-            if not len(nodes):
-                continue
-            if len(nodes) > cache.max_nodes:
-                sub_nodes.append(nodes)
-                sub_slots.append([s])
-                sub_keys.append(None)
-                continue
-            key = nodes.tobytes()
-            pos = by_key.get(key)
-            if pos is not None:
-                # A repeat inside the chunk: the sequential path would
-                # have stored the first occurrence already, so this is a
-                # hit there too.
-                cache.hits += 1
-                sub_slots[pos].append(s)
-                continue
-            val = cache.get(key)
-            if val is not None:
-                out[s] = val
-                continue
-            by_key[key] = len(sub_nodes)
-            sub_nodes.append(nodes)
-            sub_slots.append([s])
-            sub_keys.append(key)
-
-    if not sub_nodes:
-        return out
+    sub_nodes = [nodes_list[s] for s in slots]
 
     allc = np.concatenate(sub_nodes)
     if (_chunk_eligible(model, allc)
@@ -862,12 +816,7 @@ def batched_cut_parities(model: DistanceModel, nodes_list: list,
         parities = np.fromiter(
             ((_greedy_fast_core(model, nodes, False)[1] & 1)
              for nodes in sub_nodes), dtype=np.int8, count=len(sub_nodes))
-
-    for p, slots, key in zip(parities.tolist(), sub_slots, sub_keys, strict=True):
-        for s in slots:
-            out[s] = p
-        if key is not None:
-            cache.put(key, p)
+    out[slots] = parities
     return out
 
 

@@ -116,7 +116,7 @@ def read_partial(path: Union[str, Path]) -> Optional[dict]:
     for line in lines[1:]:
         try:
             record = json.loads(line)
-            _, outcome, _stats = decode_chunk(record, "live shard record")
+            _, outcome = decode_chunk(record, "live shard record")
         except (ValueError, CheckpointError):
             break  # in-flight tail: serve what is durably complete
         col = outcome if outcome.ndim == 1 else outcome[:, column]

@@ -11,12 +11,9 @@ from repro.sim.detection import (
 )
 from repro.sim.endtoend import EndToEndExperiment, EndToEndResult
 from repro.sim.batch import (
-    BatchRunResult,
-    BatchShotRunner,
     DECODE_MODES,
     DetectionShotKernel,
     EndToEndShotKernel,
-    MatchingCache,
     MemoryShotKernel,
     PACKING_MODES,
 )
@@ -24,9 +21,6 @@ from repro.sim import bitops
 
 __all__ = [
     "backend",
-    "BatchRunResult",
-    "BatchShotRunner",
-    "MatchingCache",
     "DECODE_MODES",
     "PACKING_MODES",
     "bitops",

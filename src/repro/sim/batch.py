@@ -40,22 +40,15 @@ module is the production hot path:
   path, so for the same ``(seed, batch_size)`` its outcomes are
   *bit-identical* — ``packing="none"`` remains the certified reference.
 
-* **Matching memoization** — low-``p`` shots repeat the same few-node
-  syndromes constantly; :class:`MatchingCache` reuses their cut
-  parities across shots (hit counts surface in
-  :attr:`BatchRunResult.cache_hits`).
-
-* **Process fan-out** — ``workers > 1`` decodes batches on a
-  ``multiprocessing`` pool.  Each worker builds its kernel (and decoder)
-  once and reuses it for every batch it is handed.
+* **Process fan-out** — the campaign layer's executors
+  (:mod:`repro.campaigns.executors`) decide where chunks run; a pool
+  worker builds its kernel (and decoder) once and reuses it for every
+  chunk it is handed.
 
 * **Reproducibility** — one :class:`numpy.random.SeedSequence` spawns a
-  child seed per batch, so a campaign's outcomes depend only on
-  ``(seed, batch_size)`` — never on the worker count or on scheduling.
-
-* **Streaming estimates** — per-shot outcomes stream into a
-  :class:`BinomialEstimate`; a campaign can stop early once the Wilson
-  interval is tight enough instead of burning a fixed shot budget.
+  child seed per batch (:func:`chunk_plan`), so a campaign's outcomes
+  depend only on ``(seed, batch_size)`` — never on the worker count or
+  on scheduling.
 
 ``workers = 0`` everywhere falls back to the original sequential path.
 """
@@ -63,8 +56,7 @@ module is the production hot path:
 from __future__ import annotations
 
 import math
-import multiprocessing
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -81,7 +73,6 @@ from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios.model import NO_STRIKES, Scenario
 from repro.sim import bitops
 from repro.sim.endtoend import estimate_strike_region
-from repro.sim.montecarlo import BinomialEstimate, wilson_interval
 from repro.sim.stages import (DetectionExtractStage, DetectionScoreStage,
                               EndToEndAccumulateStage, EndToEndDecodeStage,
                               EndToEndDetectStage, EndToEndExtractStage,
@@ -136,9 +127,9 @@ def chunk_plan(shots: int,
     :class:`numpy.random.SeedSequence` spawns a child per chunk, so a
     campaign's outcomes depend only on ``(seed, batch_size)`` — never on
     the worker count, scheduling, or on which chunks were restored from
-    a checkpoint.  :class:`BatchShotRunner` and the campaign layer
-    (:mod:`repro.campaigns`) must build their plans through this one
-    function so they can never drift apart.
+    a checkpoint.  The campaign runner and the remote workers of
+    :mod:`repro.campaigns` build their plans through this one function
+    so they can never drift apart.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -151,98 +142,9 @@ def chunk_plan(shots: int,
     return list(zip(sizes, children, strict=True))
 
 
-def wilson_tight(successes: int, trials: int,
-                 target_rel_width: Optional[float],
-                 min_shots: int = 0) -> bool:
-    """The shot engine's early-stop predicate.
-
-    True once the Wilson interval of the streamed success count is
-    narrower than ``target_rel_width`` times its mean (and at least
-    ``min_shots`` and one shot have been ingested).  Shared by
-    :meth:`BatchShotRunner.run` and the campaign layer so a resumed
-    campaign stops after exactly the same chunk as an uninterrupted one.
-    """
-    if target_rel_width is None or trials < max(min_shots, 1):
-        return False
-    if successes == 0:
-        return False
-    lo, hi = wilson_interval(successes, trials)
-    mean = successes / trials
-    return (hi - lo) <= target_rel_width * mean
-
-
 # ----------------------------------------------------------------------
 # Shared kernel pieces
 # ----------------------------------------------------------------------
-class MatchingCache:
-    """LRU-bounded memoized cut parities for repeated small node sets.
-
-    At low physical error rates most shots light up the same handful of
-    syndrome patterns over and over; rather than re-running the matching,
-    the kernels key its north-cut parity on the frozen coordinate bytes.
-    Only sets of at most ``max_nodes`` nodes are cached (large sets are
-    effectively unique, and skipping them bounds key size).  The table
-    holds at most ``max_entries`` parities and evicts least-recently
-    used (long campaigns previously grew it without bound); ``hits``,
-    ``misses`` and ``evictions`` stream into
-    :attr:`BatchRunResult.cache_hits` / ``cache_misses`` /
-    ``cache_evictions``, including across pool workers.
-    """
-
-    def __init__(self, max_nodes: int = 16, max_entries: int = 1 << 16):
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        self.max_nodes = max_nodes
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._table: dict[bytes, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def get(self, key: bytes) -> Optional[int]:
-        """Cached parity for a key, counting and LRU-refreshing."""
-        found = self._table.pop(key, None)
-        if found is None:
-            self.misses += 1
-            return None
-        self._table[key] = found  # reinsert: most-recently used
-        self.hits += 1
-        return found
-
-    def put(self, key: bytes, value: int) -> None:
-        """Store a parity, evicting the least-recently-used entry."""
-        if key in self._table:
-            self._table[key] = value
-            return
-        if len(self._table) >= self.max_entries:
-            self._table.pop(next(iter(self._table)))
-            self.evictions += 1
-        self._table[key] = value
-
-    def parity(self, nodes: np.ndarray, compute) -> int:
-        """``compute(nodes)`` through the cache (pure memoization)."""
-        if len(nodes) > self.max_nodes:
-            return compute(nodes)
-        key = nodes.tobytes()
-        found = self.get(key)
-        if found is not None:
-            return found
-        value = compute(nodes)
-        self.put(key, value)
-        return value
-
-    def stats(self) -> tuple[int, int, int]:
-        return self.hits, self.misses, self.evictions
-
-
-def _cache_stats(kernel) -> tuple[int, int, int]:
-    cache = getattr(kernel, "cache", None)
-    return cache.stats() if cache is not None else (0, 0, 0)
-
-
 def _strike_model(distance: int, regions: tuple, w_anos: tuple):
     """Matching distances that know the strike boxes ``regions``.
 
@@ -319,7 +221,7 @@ class MemoryShotKernel:
     def __init__(self, distance: int, p: float,
                  scenario: Scenario = NO_STRIKES, decoder: str = "greedy",
                  informed: bool = False, cycles: Optional[int] = None,
-                 cache_matchings: bool = True, decode: str = "batched"):
+                 decode: str = "batched"):
         if decode not in DECODE_MODES:
             raise ValueError(f"decode must be one of {DECODE_MODES}")
         if not scenario.fixed:
@@ -331,9 +233,7 @@ class MemoryShotKernel:
         self.decoder = decoder
         self.informed = informed
         self.cycles = cycles if cycles is not None else distance
-        self.cache_matchings = cache_matchings
         self.decode = decode
-        self.cache: Optional[MatchingCache] = None
         self._state = None
         self._arena: Optional[ScratchArena] = None
 
@@ -352,31 +252,23 @@ class MemoryShotKernel:
         else:
             model = DistanceModel(self.distance)
         mwpm = MWPMDecoder(model) if self.decoder == "mwpm" else None
-        self.cache = MatchingCache() if self.cache_matchings else None
         self._arena = ScratchArena()
         self._state = (noise, lattice, model, mwpm)
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_state"] = None  # rebuilt lazily inside each worker
-        state["cache"] = None
         state["_arena"] = None
         return state
 
     def _cut_parity(self, nodes: np.ndarray) -> int:
-        """Matching north-cut parity for one shot, through the cache."""
+        """Matching north-cut parity for one shot."""
         if len(nodes) == 0:
             return 0
         _, _, model, mwpm = self._state
         if mwpm is not None:
-            def compute(n):
-                return mwpm.decode(n).correction_cut_parity
-        else:
-            def compute(n):
-                return greedy_cut_parity(model, n)
-        if self.cache is None:
-            return compute(nodes)
-        return self.cache.parity(nodes, compute)
+            return mwpm.decode(nodes).correction_cut_parity
+        return greedy_cut_parity(model, nodes)
 
     def _cut_parities(self, nodes_list: list) -> np.ndarray:
         """Matching parities for a whole chunk of shots.
@@ -388,7 +280,6 @@ class MemoryShotKernel:
         _, _, model, mwpm = self._state
         if mwpm is None and self.decode == "batched":
             return batched_cut_parities(model, nodes_list,
-                                        cache=self.cache,
                                         arena=self._arena)
         out = np.empty(len(nodes_list), dtype=np.int8)
         for s, nodes in enumerate(nodes_list):
@@ -407,7 +298,7 @@ class MemoryShotKernel:
                  packing: str) -> StageContext:
         self.prepare()
         return StageContext(shots=shots, packing=packing, rng=rng,
-                            arena=self._arena, cache=self.cache)
+                            arena=self._arena)
 
     def run_batch(self, shots: int, rng: np.random.Generator) -> np.ndarray:
         return self.pipeline().run(self._context(shots, rng, "none"))
@@ -806,155 +697,3 @@ class DetectionShotKernel:
         read back, by the windowed-count scan.
         """
         return self.pipeline().run(self._context(shots, rng, "bits"))
-
-
-# ----------------------------------------------------------------------
-# Worker-pool plumbing
-# ----------------------------------------------------------------------
-_WORKER_KERNEL = None
-_WORKER_RUN = None
-
-
-def _batch_fn(kernel, packing: str):
-    """The kernel entry point for a packing mode (``"bits"`` falls back
-    to the float path when a kernel has no packed variant)."""
-    if packing == "bits" and hasattr(kernel, "run_batch_packed"):
-        return kernel.run_batch_packed
-    return kernel.run_batch
-
-
-def _pool_init(kernel, packing) -> None:
-    global _WORKER_KERNEL, _WORKER_RUN
-    _WORKER_KERNEL = kernel
-    _WORKER_KERNEL.prepare()  # decoder built once, reused per batch
-    _WORKER_RUN = _batch_fn(kernel, packing)
-
-
-def _pool_run(task) -> tuple[np.ndarray, tuple[int, int, int]]:
-    shots, seed = task
-    before = _cache_stats(_WORKER_KERNEL)
-    batch = _WORKER_RUN(shots, np.random.default_rng(seed))
-    after = _cache_stats(_WORKER_KERNEL)
-    return batch, tuple(a - b for a, b in zip(after, before, strict=True))
-
-
-# ----------------------------------------------------------------------
-# The runner
-# ----------------------------------------------------------------------
-@dataclass
-class BatchRunResult:
-    """Outcome of a batched campaign."""
-
-    outcomes: np.ndarray  # (shots,) or (shots, k) per-shot outcomes
-    estimate: Optional[BinomialEstimate]  # streamed success-column counts
-    requested: int
-    cache_hits: int = 0  # matchings served from the kernel's cache
-    cache_misses: int = 0  # cacheable lookups that had to compute
-    cache_evictions: int = 0  # LRU entries dropped at capacity
-
-    @property
-    def shots(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def stopped_early(self) -> bool:
-        return self.shots < self.requested
-
-
-class BatchShotRunner:
-    """Runs a shot kernel over batches, in process or on a worker pool.
-
-    Args:
-        kernel: object with ``run_batch(shots, rng) -> np.ndarray``,
-            ``prepare()``, ``success_column`` and ``default_batch_size``
-            (optionally ``run_batch_packed`` for the bit-packed path).
-        workers: 0 or 1 runs in-process; ``workers > 1`` fans batches out
-            over a ``multiprocessing`` pool of that size.
-        batch_size: shots per batch (``None`` = kernel default).  Part of
-            the reproducibility contract: outcomes depend on
-            ``(seed, batch_size)`` only.
-        seed: campaign seed for the shared ``SeedSequence``.
-        packing: ``"bits"`` (default) runs the kernel's bit-packed
-            variant — 64 shots per uint64 word, word-wise syndrome XOR —
-            which is bit-identical to ``"none"`` (the certified float
-            reference) for the same ``(seed, batch_size)``.  Kernels
-            without a packed variant silently use the float path.
-    """
-
-    def __init__(self, kernel, workers: int = 0,
-                 batch_size: Optional[int] = None,
-                 seed: Optional[int] = None,
-                 packing: str = "bits"):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if packing not in PACKING_MODES:
-            raise ValueError(f"packing must be one of {PACKING_MODES}")
-        self.kernel = kernel
-        self.workers = workers
-        self.batch_size = (batch_size if batch_size is not None
-                           else kernel.default_batch_size)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.seed = seed
-        self.packing = packing
-        self.last_estimate: Optional[BinomialEstimate] = None
-
-    # ------------------------------------------------------------------
-    def _batches(self, shots: int) -> list[tuple[int, np.random.SeedSequence]]:
-        return chunk_plan(shots, self.batch_size, self.seed)
-
-    def run(self, shots: int,
-            target_rel_width: Optional[float] = None,
-            min_shots: int = 0) -> BatchRunResult:
-        """Run up to ``shots`` shots, streaming batch outcomes.
-
-        With ``target_rel_width`` the campaign stops as soon as the
-        Wilson interval of the success-column estimate is narrower than
-        ``target_rel_width *`` its mean (and at least ``min_shots`` and
-        one full batch have been run): the adaptive mode that replaces
-        fixed >= 1e5-shot budgets.
-        """
-        if shots < 1:
-            raise ValueError("need at least one shot")
-        tasks = self._batches(shots)
-        collected: list[np.ndarray] = []
-        successes = trials = 0
-        cache_stats = np.zeros(3, dtype=np.int64)
-
-        def ingest(batch: np.ndarray) -> bool:
-            nonlocal successes, trials
-            collected.append(batch)
-            column = batch if batch.ndim == 1 \
-                else batch[:, self.kernel.success_column]
-            successes += int(np.count_nonzero(column))
-            trials += len(batch)
-            return wilson_tight(successes, trials, target_rel_width,
-                                min_shots)
-
-        if self.workers <= 1:
-            self.kernel.prepare()
-            run = _batch_fn(self.kernel, self.packing)
-            before = _cache_stats(self.kernel)
-            for size, child in tasks:
-                batch = run(size, np.random.default_rng(child))
-                if ingest(batch):
-                    break
-            cache_stats += np.subtract(_cache_stats(self.kernel), before)
-        else:
-            with multiprocessing.Pool(
-                    self.workers, initializer=_pool_init,
-                    initargs=(self.kernel, self.packing)) as pool:
-                for batch, stats in pool.imap(_pool_run, tasks):
-                    cache_stats += stats
-                    if ingest(batch):
-                        break  # context manager terminates the pool
-
-        outcomes = np.concatenate(collected)
-        self.last_estimate = (BinomialEstimate(successes, trials)
-                              if trials else None)
-        return BatchRunResult(outcomes=outcomes,
-                              estimate=self.last_estimate,
-                              requested=shots,
-                              cache_hits=int(cache_stats[0]),
-                              cache_misses=int(cache_stats[1]),
-                              cache_evictions=int(cache_stats[2]))

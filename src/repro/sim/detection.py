@@ -80,9 +80,8 @@ def run_detection_trials(
     This is now a thin shim over the unified campaign API — it builds a
     :class:`repro.campaigns.DetectionSpec` and calls
     :func:`repro.campaigns.run`, so its results are bit-identical per
-    ``(seed, batch_size)`` to the pre-redesign ``BatchShotRunner`` path
-    and to a directly run spec.  Prefer the campaign API for new code
-    (sweeps, executors, checkpoint/resume, provenance).
+    ``(seed, batch_size)`` to a directly run spec.  Prefer the campaign
+    API for new code (sweeps, executors, checkpoint/resume, provenance).
 
     Each trial: ``normal_cycles`` of anomaly-free operation (any flag here
     is a false positive), then an MBBE appears at a random position and

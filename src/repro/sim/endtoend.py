@@ -128,8 +128,7 @@ class EndToEndExperiment:
         This is now a thin shim over the unified campaign API — it
         builds a :class:`repro.campaigns.EndToEndSpec` and calls
         :func:`repro.campaigns.run`, so its results are bit-identical
-        per ``(seed, batch_size)`` to the pre-redesign
-        ``BatchShotRunner`` path and to a directly run spec.  Prefer the
+        per ``(seed, batch_size)`` to a directly run spec.  Prefer the
         campaign API for new code (sweeps, executors, checkpoint/resume,
         provenance).
 

@@ -6,7 +6,7 @@ this module existed each beat lived as a branch inside a kernel method,
 so none of them could be exercised (or replaced) on its own.  Here each
 beat is a :class:`Stage` object: a :class:`ShotPipeline` threads one
 immutable :class:`StageContext` (RNG stream, packing mode, scratch
-arena, matching cache, array-backend handle) and one mutable
+arena, array-backend handle) and one mutable
 :class:`StageState` through the stages in order, and the kernels'
 ``run_batch`` / ``run_batch_packed`` entry points are nothing but a
 pipeline run.  The staged kernels are certified bit-identical per
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,9 +49,6 @@ from repro.decoding.batched import ScratchArena, batched_region_cut_parities
 from repro.noise.models import AnomalousRegion, build_anomalous_masks
 from repro.sim import backend as _backend_module
 from repro.sim import bitops
-
-if TYPE_CHECKING:  # runtime import would cycle: batch.py imports us
-    from repro.sim.batch import MatchingCache
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +67,6 @@ class StageContext:
             partial runs that start after the sample stage (e.g. the
             decode-stage bench feeding a pre-sampled chunk in).
         arena: the kernel's grow-only scratch arena for batched decode.
-        cache: the kernel's matching cache, when it keeps one.
         backend: the array-backend seam handle
             (:mod:`repro.sim.backend`); carried so stages never import
             a backend behind the seam's back.
@@ -80,7 +76,6 @@ class StageContext:
     packing: str
     rng: Optional[np.random.Generator] = None
     arena: Optional[ScratchArena] = None
-    cache: Optional["MatchingCache"] = None
     backend: ModuleType = field(default=_backend_module)
 
 

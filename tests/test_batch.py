@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import campaigns
 from repro.decoding import (
     DistanceModel,
     GreedyDecoder,
@@ -15,10 +16,8 @@ from repro.noise import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import (
-    BatchShotRunner,
     DetectionShotKernel,
     EndToEndShotKernel,
-    MatchingCache,
     MemoryShotKernel,
 )
 from repro.sim.detection import run_detection_trials
@@ -341,14 +340,17 @@ class TestPackedKernelEquivalence:
         packed = kernel.run_batch_packed(17, np.random.default_rng(5))
         assert np.array_equal(ref, packed, equal_nan=True)
 
-    def test_runner_packing_knob(self):
-        a = BatchShotRunner(MemoryShotKernel(5, 0.03), seed=11,
-                            packing="none").run(300)
-        b = BatchShotRunner(MemoryShotKernel(5, 0.03), seed=11,
-                            packing="bits").run(300)
-        assert np.array_equal(a.outcomes, b.outcomes)
+    def test_runner_packing_knob(self, run_with_outcomes):
+        def spec(packing):
+            return campaigns.MemorySpec(
+                distance=5, p=0.03, samples=300, seed=11,
+                batch_size=MemoryShotKernel.default_batch_size,
+                packing=packing)
+        _, a = run_with_outcomes(spec("none"), campaigns.InlineExecutor())
+        _, b = run_with_outcomes(spec("bits"), campaigns.InlineExecutor())
+        assert np.array_equal(a, b)
         with pytest.raises(ValueError):
-            BatchShotRunner(MemoryShotKernel(5, 0.03), packing="words")
+            spec("words")
 
     def test_experiment_entry_points_accept_packing(self):
         exp = MemoryExperiment(5, 0.02)
@@ -368,111 +370,72 @@ class TestPackedKernelEquivalence:
         assert np.isclose(perf_b.mean_position_error,
                           perf_n.mean_position_error, equal_nan=True)
 
-    def test_pool_runs_packed(self):
-        solo = BatchShotRunner(MemoryShotKernel(5, 0.03), batch_size=50,
-                               seed=5, packing="bits").run(150)
-        pooled = BatchShotRunner(MemoryShotKernel(5, 0.03), workers=2,
-                                 batch_size=50, seed=5,
-                                 packing="bits").run(150)
-        assert np.array_equal(solo.outcomes, pooled.outcomes)
-
-
-class TestMatchingCache:
-    def test_cache_is_pure_memoization(self):
-        calls = []
-
-        def compute(nodes):
-            calls.append(nodes.copy())
-            return int(len(nodes)) & 1
-
-        cache = MatchingCache()
-        nodes = np.array([[0, 1, 2], [1, 1, 3]])
-        assert cache.parity(nodes, compute) == 0
-        assert cache.parity(nodes, compute) == 0
-        assert len(calls) == 1
-        assert cache.hits == 1
-
-    def test_large_sets_bypass(self):
-        cache = MatchingCache(max_nodes=2)
-        nodes = np.zeros((3, 3), dtype=np.intp)
-        cache.parity(nodes, lambda n: 1)
-        cache.parity(nodes, lambda n: 1)
-        assert cache.hits == 0 and len(cache) == 0
-
-    def test_table_bounded_by_lru_eviction(self):
-        cache = MatchingCache(max_entries=2)
-        for k in range(5):
-            cache.parity(np.array([[k, 0, 0]]), lambda n: 0)
-        assert len(cache) == 2
-        assert cache.evictions == 3
-        # The most recently used entries survive.
-        assert cache.get(np.array([[4, 0, 0]]).tobytes()) == 0
-        assert cache.get(np.array([[0, 0, 0]]).tobytes()) is None
-
-    def test_cached_and_uncached_runs_agree(self):
-        """Satellite: memoized matchings must not change outcomes, and
-        low-p campaigns must actually hit the cache."""
-        cached = BatchShotRunner(MemoryShotKernel(5, 0.005), seed=3).run(2000)
-        uncached = BatchShotRunner(
-            MemoryShotKernel(5, 0.005, cache_matchings=False),
-            seed=3).run(2000)
-        assert np.array_equal(cached.outcomes, uncached.outcomes)
-        assert cached.cache_hits > 0
-        assert uncached.cache_hits == 0
-
-    def test_cache_hits_reported_from_pool(self):
-        result = BatchShotRunner(MemoryShotKernel(5, 0.005), workers=2,
-                                 batch_size=500, seed=3).run(2000)
-        assert result.cache_hits > 0
+    def test_pool_runs_packed(self, run_with_outcomes):
+        spec = campaigns.MemorySpec(distance=5, p=0.03, samples=150,
+                                    seed=5, batch_size=50, packing="bits")
+        _, solo = run_with_outcomes(spec, campaigns.InlineExecutor())
+        _, pooled = run_with_outcomes(spec,
+                                      campaigns.ProcessPoolExecutor(2))
+        assert np.array_equal(solo, pooled)
 
 
 class TestBatchRunner:
-    def _kernel(self):
-        return MemoryShotKernel(5, 0.03)
+    """The chunk loop of :func:`repro.campaigns.run` on a pinned
+    ``batch_size``."""
+
+    def _spec(self, **overrides):
+        kwargs = dict(distance=5, p=0.03, samples=300, seed=11,
+                      batch_size=MemoryShotKernel.default_batch_size)
+        kwargs.update(overrides)
+        return campaigns.MemorySpec(**kwargs)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            BatchShotRunner(self._kernel(), workers=-1)
+            campaigns.ProcessPoolExecutor(-1)
         with pytest.raises(ValueError):
-            BatchShotRunner(self._kernel(), batch_size=0)
+            self._spec(batch_size=0)
         with pytest.raises(ValueError):
-            BatchShotRunner(self._kernel()).run(0)
+            self._spec(samples=0)
 
-    def test_deterministic_for_fixed_seed(self):
-        a = BatchShotRunner(self._kernel(), seed=11).run(300)
-        b = BatchShotRunner(self._kernel(), seed=11).run(300)
-        assert np.array_equal(a.outcomes, b.outcomes)
-        assert a.estimate.successes == b.estimate.successes
+    def test_deterministic_for_fixed_seed(self, run_with_outcomes):
+        a, out_a = run_with_outcomes(self._spec(), campaigns.InlineExecutor())
+        b, out_b = run_with_outcomes(self._spec(), campaigns.InlineExecutor())
+        assert np.array_equal(out_a, out_b)
+        assert a.counts["failures"] == b.counts["failures"]
 
-    def test_partial_final_batch(self):
-        result = BatchShotRunner(self._kernel(), batch_size=64,
-                                 seed=1).run(100)
-        assert result.shots == 100
-        assert result.estimate.trials == 100
+    def test_partial_final_batch(self, run_with_outcomes):
+        result, outcomes = run_with_outcomes(
+            self._spec(samples=100, batch_size=64, seed=1),
+            campaigns.InlineExecutor())
+        assert len(outcomes) == 100
+        assert result.counts["samples"] == 100
 
-    def test_outcomes_independent_of_batching_workers(self):
+    def test_outcomes_independent_of_batching_workers(self,
+                                                       run_with_outcomes):
         """Chunk seeds come from one SeedSequence: the pool must return
         exactly the in-process outcomes."""
-        solo = BatchShotRunner(self._kernel(), batch_size=50,
-                               seed=5).run(150)
-        pooled = BatchShotRunner(self._kernel(), workers=2, batch_size=50,
-                                 seed=5).run(150)
-        assert np.array_equal(solo.outcomes, pooled.outcomes)
+        spec = self._spec(samples=150, batch_size=50, seed=5)
+        _, solo = run_with_outcomes(spec, campaigns.InlineExecutor())
+        _, pooled = run_with_outcomes(spec,
+                                      campaigns.ProcessPoolExecutor(2))
+        assert np.array_equal(solo, pooled)
 
     def test_early_stop_on_tight_wilson_interval(self):
-        kernel = MemoryShotKernel(3, 0.15)  # high failure rate: converges
-        runner = BatchShotRunner(kernel, batch_size=128, seed=2)
-        result = runner.run(100_000, target_rel_width=0.5)
-        assert result.stopped_early
-        assert result.shots < 100_000
-        lo, hi = result.estimate.interval
-        assert (hi - lo) <= 0.5 * result.estimate.mean
+        # high failure rate: converges
+        spec = self._spec(distance=3, p=0.15, samples=100_000,
+                          batch_size=128, seed=2, target_rel_width=0.5)
+        result = campaigns.run(spec, executor=campaigns.InlineExecutor())
+        assert result.counts["samples"] < result.counts["requested"]
+        assert result.counts["samples"] < 100_000
+        lo, hi = result.detail.estimate.interval
+        assert (hi - lo) <= 0.5 * result.detail.estimate.mean
 
     def test_no_early_stop_without_target(self):
-        result = BatchShotRunner(self._kernel(), batch_size=128,
-                                 seed=3).run(256)
-        assert not result.stopped_early
-        assert result.shots == 256
+        result = campaigns.run(
+            self._spec(samples=256, batch_size=128, seed=3),
+            executor=campaigns.InlineExecutor())
+        assert result.counts["samples"] == result.counts["requested"]
+        assert result.counts["samples"] == 256
 
 
 class TestMemoryBatchEquivalence:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import repro.decoding.batched as batched_mod
+from repro import campaigns
 from repro.decoding import (
     DistanceModel,
     ScratchArena,
@@ -28,12 +29,7 @@ from repro.decoding.batched import batched_region_cut_parities
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import backend, bitops
-from repro.sim.batch import (
-    BatchShotRunner,
-    EndToEndShotKernel,
-    MatchingCache,
-    MemoryShotKernel,
-)
+from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel
 
 
 def _random_nodes(rng, d, n):
@@ -417,86 +413,17 @@ class TestKernelDecodeModes:
                 37, np.random.default_rng(3))
         assert np.array_equal(outs["pershot"], outs["batched"])
 
-    def test_runner_campaign_bit_equal_across_modes(self):
+    def test_runner_campaign_bit_equal_across_modes(self,
+                                                    run_with_outcomes):
         fails = {}
         for mode in ("pershot", "batched"):
-            kernel = MemoryShotKernel(
-                7, 2.5e-2,
-                Scenario.from_region(AnomalousRegion.centered(7, 3)),
-                informed=True, decode=mode)
-            res = BatchShotRunner(kernel, batch_size=48, seed=19,
-                                  packing="bits").run(200)
-            fails[mode] = res.outcomes
+            spec = campaigns.MemorySpec(
+                distance=7, p=2.5e-2, samples=200, region="centered",
+                anomaly_size=3, informed=True, decode=mode, seed=19,
+                batch_size=48, packing="bits")
+            _, fails[mode] = run_with_outcomes(spec,
+                                               campaigns.InlineExecutor())
         assert np.array_equal(fails["pershot"], fails["batched"])
-
-
-class TestLRUMatchingCache:
-    def test_lru_eviction_order(self):
-        cache = MatchingCache(max_entries=2)
-        cache.put(b"a", 0)
-        cache.put(b"b", 1)
-        assert cache.get(b"a") == 0  # refreshes "a"
-        cache.put(b"c", 1)  # evicts "b", the least recently used
-        assert cache.get(b"b") is None
-        assert cache.get(b"a") == 0
-        assert cache.get(b"c") == 1
-        assert cache.evictions == 1
-        assert len(cache) == 2
-
-    def test_stats_counting(self):
-        cache = MatchingCache()
-        nodes = np.array([[0, 1, 2], [1, 1, 3]])
-        assert cache.parity(nodes, lambda n: 1) == 1
-        assert cache.parity(nodes, lambda n: 1) == 1
-        assert cache.stats() == (1, 1, 0)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            MatchingCache(max_entries=0)
-
-    def test_batched_path_hit_accounting_matches_sequential(self):
-        """The batched chunk dedup counts hits exactly like the
-        sequential per-shot lookups would (below the LRU capacity;
-        saturated caches may evict in a different order)."""
-        rng = np.random.default_rng(4)
-        model = DistanceModel(5)
-        pool = [_random_nodes(rng, 5, int(rng.integers(1, 5)))
-                for _ in range(6)]
-        nodes_list = [pool[int(rng.integers(0, len(pool)))]
-                      for _ in range(40)]
-        seq_cache = MatchingCache()
-        seq = np.array(
-            [seq_cache.parity(x, lambda n: greedy_cut_parity(model, n))
-             for x in nodes_list], dtype=np.int8)
-        bat_cache = MatchingCache()
-        bat = batched_cut_parities(model, nodes_list, cache=bat_cache)
-        assert np.array_equal(seq, bat)
-        assert bat_cache.stats() == seq_cache.stats()
-
-    def test_runner_surfaces_misses_and_evictions(self):
-        runner = BatchShotRunner(MemoryShotKernel(5, 0.005), seed=3)
-        result = runner.run(2000)
-        assert result.cache_hits > 0
-        assert result.cache_misses > 0
-        assert result.cache_evictions == 0  # far below capacity
-
-    def test_pool_merges_cache_stats(self):
-        result = BatchShotRunner(MemoryShotKernel(5, 0.005), workers=2,
-                                 batch_size=500, seed=3).run(2000)
-        assert result.cache_hits > 0
-        assert result.cache_misses > 0
-
-    def test_bounded_campaign_stays_exact(self):
-        """A tiny LRU capacity must never change outcomes."""
-        kernel_small = MemoryShotKernel(5, 0.01)
-        kernel_small.prepare()
-        kernel_small.cache = MatchingCache(max_entries=4)
-        kernel_off = MemoryShotKernel(5, 0.01, cache_matchings=False)
-        kernel_off.prepare()
-        a = kernel_small.run_batch_packed(300, np.random.default_rng(9))
-        b = kernel_off.run_batch_packed(300, np.random.default_rng(9))
-        assert np.array_equal(a, b)
-        assert kernel_small.cache.evictions > 0
 
 
 class TestBackendSeam:

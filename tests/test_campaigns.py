@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from repro import campaigns
 from repro.noise import AnomalousRegion
 from repro.scenarios import Scenario, StrikeEvent
-from repro.sim.batch import (BatchShotRunner, DetectionShotKernel,
-                             EndToEndShotKernel, MemoryShotKernel,
-                             chunk_plan, default_chunk_shots)
+from repro.sim.batch import (MemoryShotKernel, chunk_plan,
+                             default_chunk_shots)
 from repro.sim.detection import run_detection_trials
 from repro.sim.endtoend import EndToEndExperiment
 from repro.sim.memory import MemoryExperiment
@@ -357,51 +356,60 @@ class TestExecutors:
 # Shim equality: legacy entry points == campaign API, bit for bit
 # ----------------------------------------------------------------------
 class TestLegacyShims:
+    # The direct side runs the kernel's own one-event scenario as a
+    # ScenarioSpec with the shim's chunk size pinned.
     def test_memory_run_matches_direct_runner(self):
         region = AnomalousRegion.centered(5, 2)
         exp = MemoryExperiment(5, 2e-2, region=region)
         est = exp.run(300, workers=1, seed=11, batch_size=64)
-        kernel = MemoryShotKernel(5, 2e-2, Scenario.from_region(region))
-        rr = BatchShotRunner(kernel, workers=1, batch_size=64,
-                             seed=11).run(300)
+        direct = campaigns.run(
+            campaigns.ScenarioSpec(5, 2e-2, 300,
+                                   Scenario.from_region(region),
+                                   seed=11, batch_size=64),
+            executor=campaigns.InlineExecutor(whole_request=False))
         assert (est.failures, est.samples) == \
-            (rr.estimate.successes, rr.estimate.trials)
+            (direct.counts["failures"], direct.counts["samples"])
 
     def test_memory_early_stop_matches(self):
         exp = MemoryExperiment(5, 3e-2)
         est = exp.run(5000, workers=1, seed=3, batch_size=128,
                       target_rel_width=0.5)
-        rr = BatchShotRunner(MemoryShotKernel(5, 3e-2), workers=1,
-                             batch_size=128, seed=3).run(
-                                 5000, target_rel_width=0.5)
+        direct = campaigns.run(
+            campaigns.ScenarioSpec(5, 3e-2, 5000, seed=3, batch_size=128,
+                                   target_rel_width=0.5),
+            executor=campaigns.InlineExecutor(whole_request=False))
         assert (est.failures, est.samples) == \
-            (rr.estimate.successes, rr.estimate.trials)
+            (direct.counts["failures"], direct.counts["samples"])
         assert est.samples < 5000  # it actually stopped early
 
-    def test_endtoend_run_matches_direct_runner(self):
+    def test_endtoend_run_matches_direct_runner(self, run_with_outcomes):
         e2e = EndToEndExperiment(5, 0.01, onset=30, cycles=60, c_win=20,
                                  n_th=4)
         res = e2e.run(40, seed=5)
-        kernel = EndToEndShotKernel(
-            5, 0.01, Scenario(events=(StrikeEvent(onset=30, size=4),)),
-            60, 20, 4, 0.01)
         batch = default_chunk_shots(40, 60 * 4 * 5)
-        out = BatchShotRunner(kernel, workers=0, batch_size=batch,
-                              seed=5).run(40).outcomes
+        _, out = run_with_outcomes(
+            campaigns.ScenarioSpec(
+                5, 0.01, 40,
+                Scenario(events=(StrikeEvent(onset=30, size=4),)),
+                mode="endtoend", cycles=60, c_win=20, n_th=4, alpha=0.01,
+                seed=5, batch_size=batch),
+            campaigns.InlineExecutor())
         assert res.naive_failures == int(out[:, 0].sum())
         assert res.detected_failures == int(out[:, 1].sum())
         assert res.oracle_failures == int(out[:, 2].sum())
         assert res.detections == int((out[:, 3] >= 0).sum())
 
-    def test_detection_run_matches_direct_runner(self):
+    def test_detection_run_matches_direct_runner(self, run_with_outcomes):
         perf = run_detection_trials(7, 2e-3, 0.05, anomaly_size=2,
                                     c_win=40, n_th=3, trials=6, seed=9)
         strike = StrikeEvent(onset=80, size=2, p_ano=0.05)
-        kernel = DetectionShotKernel(7, 2e-3, Scenario(events=(strike,)),
-                                     40, 3, 0.01, 160)
         batch = default_chunk_shots(6, 240 * 6 * 7)
-        out = BatchShotRunner(kernel, workers=0, batch_size=batch,
-                              seed=9).run(6).outcomes
+        _, out = run_with_outcomes(
+            campaigns.ScenarioSpec(
+                7, 2e-3, 6, Scenario(events=(strike,)), mode="detection",
+                c_win=40, n_th=3, alpha=0.01, post_cycles=160, seed=9,
+                batch_size=batch),
+            campaigns.InlineExecutor())
         assert perf.false_positives == int(out[:, 0].sum())
         assert perf.detections == int(out[:, 1].sum())
 

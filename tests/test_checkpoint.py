@@ -110,12 +110,31 @@ class TestResumeBitEquality:
             pass  # killed before the stopping chunk
         resumed = campaigns.run(spec, checkpoint=tmp_path)
         # Resumed run ingests restored chunks through the same early-stop
-        # predicate: same stopping chunk, same outcome counts.  (Cache
-        # hit/miss counters are process-local warm-state and excluded —
-        # the PR 3 precedent: stats-only, never outcomes.)
-        outcome_keys = ("failures", "samples", "requested")
-        for key in outcome_keys:
-            assert resumed.counts[key] == straight.counts[key]
+        # predicate: same stopping chunk, same counts.
+        assert resumed.counts == straight.counts
+        assert resumed.estimates == straight.estimates
+
+    def test_resume_ignores_old_cache_counters(self, tmp_path):
+        # Older releases wrote each chunk record with a
+        # "cache": [hits, misses, evictions] field before its CRC.
+        spec = _memory_spec()
+        straight = campaigns.run(spec)
+        with pytest.raises(KeyboardInterrupt):
+            campaigns.run(spec, executor=StopAfter(2),
+                          checkpoint=tmp_path)
+        path = _shard_path(tmp_path, spec)
+        header, *chunks = path.read_text(encoding="utf-8").splitlines()
+        old = []
+        for line in chunks:
+            record = json.loads(line)
+            crc = record.pop("crc")
+            old.append(json.dumps({**record, "cache": [3, 5, 0],
+                                   "crc": crc}))
+        path.write_text("\n".join([header, *old]) + "\n",
+                        encoding="utf-8")
+        resumed = campaigns.run(spec, checkpoint=tmp_path)
+        assert resumed.provenance.resumed_chunks == 2
+        assert resumed.counts == straight.counts
         assert resumed.estimates == straight.estimates
 
     def test_pool_executor_shares_the_shard(self, tmp_path):

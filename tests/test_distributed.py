@@ -36,14 +36,6 @@ def inline_result():
     return campaigns.run(SPEC, executor=campaigns.InlineExecutor())
 
 
-def _hard_counts(result):
-    """Counts minus cache counters (which measure scheduling, not
-    physics — a sim worker's kernel reuse pattern legitimately differs
-    from the inline kernel's)."""
-    return {k: v for k, v in result.counts.items()
-            if not k.startswith("cache")}
-
-
 def _run_under(plan, tmp_path, workers=2, **executor_kw):
     sim = WorkerPoolSim(tmp_path / "q", workers=workers, plan=plan)
     result = campaigns.run(SPEC, executor=sim.executor(**executor_kw))
@@ -109,7 +101,7 @@ def test_chaos_bit_identical_to_inline(name, tmp_path, inline_result):
     plan, floors = CHAOS_MATRIX[name]
     result, _ = _run_under(plan, tmp_path)
     assert result.estimates == inline_result.estimates
-    assert _hard_counts(result) == _hard_counts(inline_result)
+    assert result.counts == inline_result.counts
     acct = result.provenance.supervisor
     assert acct is not None and acct["dispatched"] >= 6
     for counter, floor in floors.items():
@@ -145,7 +137,7 @@ def test_pool_never_appears_drains_inline(tmp_path, inline_result):
                            idle_hook=lambda: clock.advance(1.0))
     result = campaigns.run(SPEC, executor=ex)
     assert result.estimates == inline_result.estimates
-    assert _hard_counts(result) == _hard_counts(inline_result)
+    assert result.counts == inline_result.counts
     assert result.provenance.supervisor["drained_inline"] == 6
 
 
@@ -178,7 +170,7 @@ def test_checkpoint_resume_through_queue(tmp_path, inline_result):
     resumed = campaigns.run(SPEC, executor=sim.executor(), checkpoint=ckpt)
     assert resumed.provenance.resumed_chunks == 2
     assert resumed.estimates == inline_result.estimates
-    assert _hard_counts(resumed) == _hard_counts(inline_result)
+    assert resumed.counts == inline_result.counts
 
 
 def test_queue_cleanup_withdraws_tasks_keeps_results(tmp_path):
@@ -257,6 +249,24 @@ class TestPieces:
             WorkQueueExecutor(tmp_path, backoff_base_s=2.0,
                               backoff_cap_s=1.0)
 
+    @pytest.mark.parametrize("index", [-1, 6])
+    def test_worker_rejects_index_outside_the_plan(self, tmp_path, index):
+        # SPEC plans six 8-shot chunks: a task at index -1 or 6 names no
+        # chunk, so the worker must refuse it rather than run another.
+        from repro.campaigns.checkpoint import CheckpointError
+        from repro.campaigns.distributed import TASK_FORMAT, Worker
+        queue = WorkQueue(tmp_path / "q")
+        queue.ensure()
+        digest = campaigns.spec_hash(SPEC)
+        doc = {"format": TASK_FORMAT, "type": "task", "spec_hash": digest,
+               "spec": campaigns.spec_to_dict(SPEC), "index": index,
+               "size": 8, "batch_size": 8, "attempt": 1}
+        (queue.tasks / WorkQueue.task_name(digest, 0, 1)).write_text(
+            json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="does not fit"):
+            Worker(queue.root, "w0").step()
+        assert queue.result_files() == []
+
     def test_parse_executor_queue_syntax(self, tmp_path):
         from repro.campaigns.cli import parse_executor
         ex = parse_executor(f"queue:{tmp_path / 'q'}")
@@ -289,7 +299,7 @@ class TestRealWorkers:
             out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
         assert result.estimates == inline_result.estimates
-        assert _hard_counts(result) == _hard_counts(inline_result)
+        assert result.counts == inline_result.counts
         acct = result.provenance.supervisor
         assert acct["workers_seen"] >= 1
         assert acct["drained_inline"] == 0

@@ -28,13 +28,10 @@ def _memory_spec(**overrides):
 
 
 def _assert_outcome_equal(refined, fresh):
-    """Bit-equality on everything except process-local cache stats."""
+    """Bit-equality on every estimate and count."""
     for key, value in fresh.estimates.items():
         np.testing.assert_equal(refined.estimates[key], value)
-    stats_only = {"cache_hits", "cache_misses", "cache_evictions"}
-    for key, value in fresh.counts.items():
-        if key not in stats_only:
-            assert refined.counts[key] == value, key
+    assert refined.counts == fresh.counts
 
 
 class TestShotFields:
