@@ -1,21 +1,22 @@
 """Batched shot engine vs the sequential per-shot path.
 
 Times the Fig. 8 workload (the repo's heaviest Monte-Carlo hot path) at
-equal sample counts through the sequential engine, the float batch
-engine and the bit-packed batch engine, and prints the speedup table.
-The acceptance bars: the batch engine pays for itself >= 5x over the
-sequential path; the bit-packed sampling + syndrome-extraction stage
-delivers >= 3x additional throughput over the float stage with per-shot
-sample storage cut ~50x (8 bytes per sampled bit materialized by the
-float64 draw vs one bit per bit plus a fixed 64-shot scratch block);
-and the cross-shot bucketed decode engine delivers >= 3x decode-stage
-throughput over the PR 2 per-shot decode loop on the same grid.
+equal sample counts through the sequential engine and the bit-packed
+batch engine, and prints the speedup table.  The acceptance bars: the
+batch engine pays for itself >= 5x over the sequential path; the
+bit-packed sampling + syndrome-extraction stage delivers >= 3x
+throughput over float sampling with per-shot node extraction, with
+per-shot sample storage cut ~50x (8 bytes per sampled bit materialized
+by the float64 draw vs one bit per bit plus a fixed 64-shot scratch
+block); and the cross-shot bucketed decode engine delivers >= 3x
+decode-stage throughput over a per-shot decode loop on the same grid.
 
 The batched results are also cross-checked for determinism and for the
-certification contracts: same ``(seed, batch_size)`` must give
-*bit-identical* failure counts through ``packing="bits"`` vs
-``packing="none"`` and through ``decode="batched"`` vs
-``decode="pershot"`` — speed must not cost reproducibility.
+certification contracts: a repeated campaign must give the same failure
+counts, and the per-shot decode loops (``greedy_cut_parity`` and the
+end-to-end kernel's ``_score``) must reproduce the batched campaigns bit
+for bit at the same ``(seed, batch_size)`` — speed must not cost
+reproducibility.
 
 Stage throughputs and speedup ratios accumulate in ``BENCH_batch.json``
 (see benchmarks/README.md for the schema) so the perf trajectory stays
@@ -33,10 +34,11 @@ from repro import campaigns
 from repro.campaigns.checkpoint import CheckpointStore
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion
+from repro.decoding.greedy import greedy_cut_parity
 from repro.noise.models import PACKED_SAMPLE_CHUNK, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
-from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel
+from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel, chunk_plan
 from repro.sim.memory import MemoryExperiment
 
 from _common import emit_json, mc_samples, mc_workers, print_table, scale
@@ -58,60 +60,50 @@ def _points():
     return points
 
 
-def _campaign(samples: int, workers: int,
-              packing: str = "bits") -> tuple[float, list[int]]:
+def _campaign(samples: int, workers: int) -> tuple[float, list[int]]:
     start = time.perf_counter()
     failures = []
     for idx, (_, d, p, region, informed) in enumerate(_points()):
         exp = MemoryExperiment(d, p, region=region, informed=informed)
         est = exp.run(samples, np.random.default_rng(idx),
-                      workers=workers, seed=idx, packing=packing)
+                      workers=workers, seed=idx)
         failures.append(est.failures)
     return time.perf_counter() - start, failures
 
 
 @pytest.mark.benchmark(group="batch")
 def bench_batch_engine_speedup(benchmark):
-    """Whole Fig. 8 grid: sequential vs batched (float and bit-packed)."""
+    """Whole Fig. 8 grid: sequential vs the bit-packed batch engine."""
     samples = mc_samples()
     workers = max(1, mc_workers())
 
     def run():
         seq_time, _ = _campaign(samples, workers=0)
-        flt_time, flt_failures = _campaign(samples, workers, packing="none")
-        bit_time, bit_failures = _campaign(samples, workers, packing="bits")
-        rep_time, rep_failures = _campaign(samples, workers, packing="bits")
-        return (seq_time, flt_time, bit_time,
-                flt_failures, bit_failures, rep_failures)
+        bit_time, bit_failures = _campaign(samples, workers)
+        _, rep_failures = _campaign(samples, workers)
+        return seq_time, bit_time, bit_failures, rep_failures
 
-    (seq_time, flt_time, bit_time, flt_failures, bit_failures,
-     rep_failures) = benchmark.pedantic(run, rounds=1, iterations=1)
+    seq_time, bit_time, bit_failures, rep_failures = benchmark.pedantic(
+        run, rounds=1, iterations=1)
 
     print_table(
         f"Batch engine speedup (Fig. 8 grid, {samples} samples/point, "
         f"workers={workers})",
         ["engine", "wall clock (s)", "speedup"],
         [["sequential (workers=0)", f"{seq_time:.2f}", "1.0x"],
-         ["batched float (packing=none)", f"{flt_time:.2f}",
-          f"{seq_time / flt_time:.1f}x"],
-         ["batched bit-packed (packing=bits)", f"{bit_time:.2f}",
+         ["batched bit-packed", f"{bit_time:.2f}",
           f"{seq_time / bit_time:.1f}x"]])
 
-    # Reproducibility: the same seeds must give the same counts, and the
-    # packed backend must be bit-identical to the float reference.
-    assert bit_failures == rep_failures
-    assert bit_failures == flt_failures, \
-        "packed backend broke the bit-identical certification contract"
+    # Reproducibility: the same seeds must give the same counts.
+    assert bit_failures == rep_failures, \
+        "a repeated batched campaign changed its failure counts"
     # The acceptance bar: the batch engine pays for itself >= 5x.
-    speedup = seq_time / min(flt_time, bit_time)
+    speedup = seq_time / bit_time
     emit_json("batch", "campaign", {
         "samples_per_point": samples,
         "workers": workers,
-        "wall_clock_s": {"sequential": seq_time, "batched_float": flt_time,
-                         "batched_bits": bit_time},
-        "speedup_vs_sequential": {
-            "batched_float": seq_time / flt_time,
-            "batched_bits": seq_time / bit_time},
+        "wall_clock_s": {"sequential": seq_time, "batched_bits": bit_time},
+        "speedup_vs_sequential": {"batched_bits": speedup},
         "failures_bit_equal": True,
     })
     assert speedup >= 5.0, f"batch speedup {speedup:.2f}x < 5x"
@@ -119,8 +111,12 @@ def bench_batch_engine_speedup(benchmark):
 
 def _float_stage(noise: PhenomenologicalNoise, lattice: SyndromeLattice,
                  shots: int, cycles: int, rng) -> None:
+    """Float sampling, then every shot's active nodes and cut parity."""
     v, h, m = noise.sample_batch(shots, cycles, rng)
-    lattice.detection_events_batch(v, h, m)
+    diff = lattice.difference_lattice(lattice.measured_layers(v, h, m))
+    coords = np.argwhere(diff.astype(bool))
+    bounds = np.searchsorted(coords[:, 0], np.arange(shots + 1))
+    [coords[bounds[s]:bounds[s + 1], 1:] for s in range(shots)]
     lattice.error_cut_parity(v)
 
 
@@ -226,29 +222,33 @@ def bench_packed_sampling_stage(benchmark):
         f"measured stage peak reduction {min(mem_ratios):.0f}x < 10x"
 
 
+def _memory_kernel(d, p, region, informed) -> MemoryShotKernel:
+    kernel = MemoryShotKernel(d, p, Scenario.from_region(region),
+                              informed=informed)
+    kernel.prepare()
+    return kernel
+
+
 def _decode_stage_data(d, p, region, informed, shots, seed):
-    """Sample + extract one packed chunk and build both kernels."""
-    kernels = {}
-    for mode in ("pershot", "batched"):
-        k = MemoryShotKernel(d, p, Scenario.from_region(region),
-                             informed=informed, decode=mode)
-        k.prepare()
-        kernels[mode] = k
-    noise, lattice, _, _ = kernels["batched"]._state
+    """Sample + extract one packed chunk for a prepared kernel."""
+    kernel = _memory_kernel(d, p, region, informed)
+    noise, lattice, _, _ = kernel._state
     v, h, m = noise.sample_batch_packed(shots, d,
                                         np.random.default_rng(seed))
     coords, vals, bounds = lattice.detection_events_packed(v, h, m)
     parity_words = lattice.error_cut_parity_packed(v)
-    return kernels, lattice, coords, vals, bounds, parity_words
+    return kernel, lattice, coords, vals, bounds, parity_words
 
 
 def _decode_stage_pershot(kernel, lattice, coords, vals, bounds,
                           parity_words, shots):
-    """The PR 2 decode loop: per-shot lane unpack + per-shot matching."""
+    """The per-shot decode loop: lane unpack + ``greedy_cut_parity``."""
+    model = kernel._state[2]
     out = np.empty(shots, dtype=np.int8)
     for s in range(shots):
         nodes = lattice.shot_nodes(coords, vals, bounds, s)
-        out[s] = bitops.lane_bit(parity_words, s) ^ kernel._cut_parity(nodes)
+        out[s] = (bitops.lane_bit(parity_words, s)
+                  ^ greedy_cut_parity(model, nodes))
     return out
 
 
@@ -263,13 +263,13 @@ def _decode_stage_batched(kernel, lattice, coords, vals, parity_words,
 
 @pytest.mark.benchmark(group="batch")
 def bench_decode_stage_speedup(benchmark):
-    """Decode stage: bucketed batched engine vs the PR 2 per-shot loop.
+    """Decode stage: bucketed batched engine vs a per-shot loop.
 
-    Same packed chunk, same models, outputs asserted bit-equal; the
+    Same packed chunk, same model, outputs asserted bit-equal; the
     acceptance bar is >= 3x aggregate decode-stage throughput on the
-    Fig. 8 grid (NumPy backend).  Campaign failure counts are also
-    asserted bit-equal through ``decode="batched"`` vs ``"pershot"``
-    for the same ``(seed, batch_size)``.
+    Fig. 8 grid (NumPy backend).  A batched campaign's failure count is
+    also asserted equal to the per-shot loop's over the same chunk plan
+    (same ``(seed, batch_size)``).
     """
     shots = max(1024, int(1024 * scale()))
     repeats = 5
@@ -280,22 +280,21 @@ def bench_decode_stage_speedup(benchmark):
     def run():
         nonlocal pershot_total, batched_total
         for idx, (label, d, p, region, informed) in enumerate(_points()):
-            (kernels, lattice, coords, vals, bounds,
+            (kernel, lattice, coords, vals, bounds,
              parity_words) = _decode_stage_data(
                 d, p, region, informed, shots, seed=idx)
             best = {}
             for mode in ("pershot", "batched"):
-                kern = kernels[mode]
                 times = []
                 for _ in range(repeats):
                     start = time.perf_counter()
                     if mode == "pershot":
                         out = _decode_stage_pershot(
-                            kern, lattice, coords, vals, bounds,
+                            kernel, lattice, coords, vals, bounds,
                             parity_words, shots)
                     else:
                         out = _decode_stage_batched(
-                            kern, lattice, coords, vals, parity_words,
+                            kernel, lattice, coords, vals, parity_words,
                             shots)
                     times.append(time.perf_counter() - start)
                 # min over repeats: the least-interference estimate on
@@ -323,16 +322,23 @@ def bench_decode_stage_speedup(benchmark):
                  f"{batched_total * 1e3:.0f}", f"{ratio:.1f}x"]])
 
     # Campaign-level certification: same (seed, batch_size), same counts.
-    fails = {}
-    for mode in ("pershot", "batched"):
-        spec = campaigns.MemorySpec(
-            distance=13, p=PHYSICAL_RATES[-1], samples=1024,
-            region="centered", anomaly_size=ANOMALY_SIZE, informed=True,
-            decode=mode, seed=71, batch_size=256, packing="bits")
-        res = campaigns.run(spec, executor=campaigns.InlineExecutor())
-        fails[mode] = res.counts["failures"]
-    assert fails["pershot"] == fails["batched"], \
-        "batched campaign diverged from the per-shot packed path"
+    spec = campaigns.MemorySpec(
+        distance=13, p=PHYSICAL_RATES[-1], samples=1024,
+        region="centered", anomaly_size=ANOMALY_SIZE, informed=True,
+        seed=71, batch_size=256)
+    res = campaigns.run(spec, executor=campaigns.InlineExecutor())
+    kernel = _memory_kernel(13, PHYSICAL_RATES[-1], spec.resolve_region(),
+                            True)
+    pershot = 0
+    for size, child in chunk_plan(1024, 256, 71):
+        state = kernel.pipeline().run_until(
+            "extract", kernel._context(size, np.random.default_rng(child)))
+        pershot += sum(
+            int(err) ^ greedy_cut_parity(kernel._state[2], nodes)
+            for err, nodes in zip(state.parities, state.nodes_list,
+                                  strict=True))
+    assert pershot == res.counts["failures"], \
+        "batched campaign diverged from the per-shot decode loop"
 
     emit_json("batch", "decode_stage", {
         "shots_per_chunk": shots,
@@ -351,16 +357,26 @@ def _strike(onset):
     return Scenario(events=(StrikeEvent(onset=onset, size=ANOMALY_SIZE),))
 
 
-def _e2e_kernels(d, p, mode_list, onset, cycles, c_win):
-    """Both decode-mode kernels for one Fig. 8 end-to-end point."""
-    kernels = {}
-    for mode in mode_list:
-        k = EndToEndShotKernel(d, p, _strike(onset), cycles=cycles,
-                               c_win=c_win, n_th=8, alpha=0.01,
-                               decode=mode)
-        k.prepare()
-        kernels[mode] = k
-    return kernels
+def _e2e_kernel(d, p, onset, cycles, c_win) -> EndToEndShotKernel:
+    """The end-to-end kernel for one Fig. 8 point."""
+    kernel = EndToEndShotKernel(d, p, _strike(onset), cycles=cycles,
+                                c_win=c_win, n_th=8, alpha=0.01)
+    kernel.prepare()
+    return kernel
+
+
+def _e2e_pershot(kernel, chunk) -> np.ndarray:
+    """The per-shot decode loop over a detected chunk: the naive
+    matching by ``greedy_cut_parity``, then ``kernel._score`` for the
+    oracle and detected ones, shot by shot."""
+    nodes_list, parities, regions, detections = chunk
+    out = np.empty((len(nodes_list), 4), dtype=np.int64)
+    for s, (estimated, latency) in enumerate(detections):
+        naive = greedy_cut_parity(kernel._state[3], nodes_list[s])
+        out[s, :3] = kernel._score(nodes_list[s], int(parities[s]), naive,
+                                   regions[s], estimated)
+        out[s, 3] = latency
+    return out
 
 
 @pytest.mark.benchmark(group="batch")
@@ -387,17 +403,17 @@ def bench_e2e_decode_stage_speedup(benchmark):
         for idx, d in enumerate(DISTANCES):
             for p in PHYSICAL_RATES:
                 label = f"d={d} p={p}"
-                kernels = _e2e_kernels(d, p, ("pershot", "batched"),
-                                       onset, onset + 2 * d, c_win)
-                chunk = kernels["batched"]._chunk_packed(
+                kernel = _e2e_kernel(d, p, onset, onset + 2 * d, c_win)
+                chunk = kernel._chunk_packed(
                     shots, np.random.default_rng(idx))
                 best = {}
                 for mode in ("pershot", "batched"):
-                    kern = kernels[mode]
                     times = []
                     for _ in range(repeats):
                         start = time.perf_counter()
-                        out = kern._assemble(*chunk)
+                        out = (_e2e_pershot(kernel, chunk)
+                               if mode == "pershot"
+                               else kernel._assemble(*chunk))
                         times.append(time.perf_counter() - start)
                     # min over repeats: least-interference estimate,
                     # applied to both engines alike
@@ -424,21 +440,25 @@ def bench_e2e_decode_stage_speedup(benchmark):
         rows + [["TOTAL", f"{pershot_total * 1e3:.0f}",
                  f"{batched_total * 1e3:.0f}", f"{ratio:.1f}x"]])
 
-    # Campaign-level certification: same (seed, batch_size), same rows,
-    # read back chunk by chunk from each campaign's checkpoint shard.
-    camp = {}
+    # Campaign-level certification: same (seed, batch_size), same rows —
+    # the campaign's read back chunk by chunk from its checkpoint shard,
+    # the per-shot loop's decoded over the same chunk plan.
+    spec = campaigns.ScenarioSpec(
+        9, PHYSICAL_RATES[0], 192, _strike(onset), mode="endtoend",
+        cycles=onset + 18, c_win=c_win, n_th=8, alpha=0.01, seed=71,
+        batch_size=64)
     with tempfile.TemporaryDirectory() as tmp:
         store = CheckpointStore(tmp)
-        for mode in ("pershot", "batched"):
-            spec = campaigns.ScenarioSpec(
-                9, PHYSICAL_RATES[0], 192, _strike(onset), mode="endtoend",
-                cycles=onset + 18, c_win=c_win, n_th=8, alpha=0.01,
-                decode=mode, seed=71, batch_size=64, packing="bits")
-            campaigns.run(spec, executor=campaigns.InlineExecutor(),
-                          checkpoint=store)
-            chunks = store.shard(spec).load()
-            camp[mode] = np.concatenate([chunks[i] for i in sorted(chunks)])
-    assert np.array_equal(camp["pershot"], camp["batched"]), \
+        campaigns.run(spec, executor=campaigns.InlineExecutor(),
+                      checkpoint=store)
+        chunks = store.shard(spec).load()
+    batched = np.concatenate([chunks[i] for i in sorted(chunks)])
+    kernel = _e2e_kernel(9, PHYSICAL_RATES[0], onset, onset + 18, c_win)
+    pershot = np.concatenate([
+        _e2e_pershot(kernel, kernel._chunk_packed(
+            size, np.random.default_rng(child)))
+        for size, child in chunk_plan(192, 64, 71)])
+    assert np.array_equal(pershot, batched), \
         "region-bucketed campaign diverged from the per-shot path"
 
     emit_json("batch", "e2e_decode_stage", {
@@ -473,18 +493,19 @@ def smoke() -> None:
     exp = MemoryExperiment(5, 2.5e-2,
                            region=AnomalousRegion.centered(5, 2),
                            informed=True)
-    bits = exp.run(32, workers=1, seed=3, packing="bits")
-    none = exp.run(32, workers=1, seed=3, packing="none")
-    assert bits.failures == none.failures
-    kernels, lattice, coords, vals, bounds, parity_words = \
+    assert (exp.run(32, workers=1, seed=3).failures
+            == exp.run(32, workers=1, seed=3).failures)
+    noise = PhenomenologicalNoise(5, 2.5e-2)
+    _float_stage(noise, SyndromeLattice(5), 70, 5,
+                 np.random.default_rng(0))
+    kernel, lattice, coords, vals, bounds, parity_words = \
         _decode_stage_data(5, 2.5e-2, AnomalousRegion.centered(5, 2),
                            True, 40, seed=1)
-    ps = _decode_stage_pershot(kernels["pershot"], lattice, coords, vals,
-                               bounds, parity_words, 40)
-    bt = _decode_stage_batched(kernels["batched"], lattice, coords, vals,
+    ps = _decode_stage_pershot(kernel, lattice, coords, vals, bounds,
+                               parity_words, 40)
+    bt = _decode_stage_batched(kernel, lattice, coords, vals,
                                parity_words, 40)
     assert np.array_equal(ps, bt)
-    e2e = _e2e_kernels(5, 2.5e-2, ("pershot", "batched"), 20, 36, 12)
-    chunk = e2e["batched"]._chunk_packed(24, np.random.default_rng(2))
-    assert np.array_equal(e2e["pershot"]._assemble(*chunk),
-                          e2e["batched"]._assemble(*chunk))
+    e2e = _e2e_kernel(5, 2.5e-2, 20, 36, 12)
+    chunk = e2e._chunk_packed(24, np.random.default_rng(2))
+    assert np.array_equal(_e2e_pershot(e2e, chunk), e2e._assemble(*chunk))

@@ -8,15 +8,12 @@ headline numbers as its own ``scenario_*`` section of
 ``BENCH_batch.json`` so the catalog's trajectory is guarded by
 ``compare_bench.py`` alongside the engine bars.
 
-Two certification contracts ride along as ``*_bit_equal`` flags (any
-flip off ``true`` fails the trajectory compare at every tolerance):
-
-* the degenerate single-fixed-event, uniform-base scenario campaign is
-  bit-identical per ``(seed, batch_size)`` to the legacy
-  ``AnomalousRegion`` campaign, across the memory / end-to-end /
-  detection engines (docs/CONTRACTS.md);
-* packed (``packing="bits"``) and unpacked scenario campaigns agree on
-  every multi-event entry.
+One certification contract rides along as ``*_bit_equal`` flags (any
+flip off ``true`` fails the trajectory compare at every tolerance): the
+degenerate single-fixed-event, uniform-base scenario campaign is
+bit-identical per ``(seed, batch_size)`` to the legacy
+``AnomalousRegion`` campaign, across the memory / end-to-end /
+detection engines (docs/CONTRACTS.md).
 """
 
 import time
@@ -105,32 +102,30 @@ def bench_scenario_legacy_equivalence(benchmark):
     The contract (docs/CONTRACTS.md): a uniform-base scenario holding
     one fixed event draws the identical uniform stream as the legacy
     ``AnomalousRegion`` path, so the campaigns' counts and estimates
-    are bit-equal per ``(seed, batch_size)`` — packed and unpacked.
+    are bit-equal per ``(seed, batch_size)``.
     """
     samples = mc_samples()
     flags = {}
 
-    def _pair(mode: str, packing: str) -> bool:
+    def _pair(mode: str) -> bool:
         if mode == "memory":
             legacy = campaigns.MemorySpec(
                 distance=7, p=0.01, samples=samples,
                 region=AnomalousRegion(1, 1, 3), informed=True,
-                cycles=12, seed=11, batch_size=64, packing=packing)
+                cycles=12, seed=11, batch_size=64)
             scen = campaigns.ScenarioSpec(
                 distance=7, p=0.01, shots=samples, mode="memory",
                 informed=True, cycles=12, seed=11, batch_size=64,
-                packing=packing,
                 scenario=Scenario(events=(
                     StrikeEvent(onset=0, size=3, row=1, col=1),)))
         elif mode == "endtoend":
             legacy = campaigns.EndToEndSpec(
                 distance=7, p=0.005, shots=max(8, samples // 10),
-                onset=150, cycles=300, n_th=8, seed=5, batch_size=16,
-                packing=packing)
+                onset=150, cycles=300, n_th=8, seed=5, batch_size=16)
             scen = campaigns.ScenarioSpec(
                 distance=7, p=0.005, shots=max(8, samples // 10),
                 mode="endtoend", cycles=300, n_th=8, seed=5,
-                batch_size=16, packing=packing,
+                batch_size=16,
                 scenario=Scenario(events=(
                     StrikeEvent(onset=150, size=4),)))
         else:
@@ -138,11 +133,11 @@ def bench_scenario_legacy_equivalence(benchmark):
                 distance=9, p=0.005, p_ano=0.5, anomaly_size=4,
                 c_win=100, n_th=8, trials=max(8, samples // 10),
                 normal_cycles=200, post_cycles=400, seed=3,
-                batch_size=8, packing=packing)
+                batch_size=8)
             scen = campaigns.ScenarioSpec(
                 distance=9, p=0.005, shots=max(8, samples // 10),
                 mode="detection", c_win=100, n_th=8, post_cycles=400,
-                seed=3, batch_size=8, packing=packing,
+                seed=3, batch_size=8,
                 scenario=Scenario(events=(
                     StrikeEvent(onset=200, duration=400, size=4),)))
         a, b = campaigns.run(legacy), campaigns.run(scen)
@@ -150,8 +145,7 @@ def bench_scenario_legacy_equivalence(benchmark):
 
     def run():
         for mode in ("memory", "endtoend", "detection"):
-            for packing in ("bits", "none"):
-                flags[f"{mode}_{packing}_bit_equal"] = _pair(mode, packing)
+            flags[f"{mode}_bits_bit_equal"] = _pair(mode)
 
     benchmark.pedantic(run, rounds=1, iterations=1)
 

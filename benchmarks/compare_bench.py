@@ -18,7 +18,10 @@ tolerance:
   (``matches_per_us``) are throughput-shaped domain values, not
   latencies, and are untouched by this class.
 * certification booleans (``*_bit_equal`` flags): any flip off the
-  baseline's ``true`` is a regression at every setting.
+  baseline's ``true`` is a regression at every setting, and so is a
+  baseline flag missing from a section the fresh run did produce (a
+  dropped certificate).  A whole missing section is only a note: CI
+  re-runs a subset of the bench files.
 
 Everything else (domain values: logical error rates, required windows,
 instruction throughputs) is reported as *drift* beyond the tolerance —
@@ -126,7 +129,12 @@ def compare(fresh: dict, base: dict, tolerance: float = 0.2,
         fleaves = dict(_walk(fsec))
         for path, bval in bleaves.items():
             if path not in fleaves:
-                notes.append(f"{name}.{path} missing from fresh run")
+                if path.endswith("_bit_equal"):
+                    regressions.append(
+                        f"{name}.{path}: certification flag missing "
+                        f"from fresh run")
+                else:
+                    notes.append(f"{name}.{path} missing from fresh run")
                 continue
             fval = fleaves[path]
             where = f"{name}.{path}"

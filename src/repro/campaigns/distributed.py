@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.campaigns.checkpoint import (CheckpointError, chunk_record,
                                         decode_chunk)
-from repro.campaigns.executors import DistributedExecutor, _batch_fn
+from repro.campaigns.executors import DistributedExecutor
 from repro.campaigns.specs import spec_from_dict, spec_hash, spec_to_dict
 from repro.sim.batch import chunk_plan
 
@@ -331,18 +331,17 @@ class Worker:
                     f"{spec_hash(spec)}, not {digest}")
             kernel, shots, _ = shot_engine(spec)
             kernel.prepare()
-            run = _batch_fn(kernel, spec.packing)
             plan = chunk_plan(shots, batch_size, spec.seed)
-            engine = (kernel, run, plan)
+            engine = (kernel, plan)
             self._engines[(digest, batch_size)] = engine
-        kernel, run, plan = engine
+        kernel, plan = engine
         index = int(doc["index"])
         if not 0 <= index < len(plan) or plan[index][0] != doc["size"]:
             raise CheckpointError(
                 f"task {index} does not fit the chunk plan "
                 f"(size {doc['size']} vs plan)")
         size, child = plan[index]
-        return run(size, np.random.default_rng(child))
+        return kernel.run_batch_packed(size, np.random.default_rng(child))
 
     def _deliver(self, doc: dict, lease: Path, outcome: np.ndarray) -> None:
         record = chunk_record(doc["index"], outcome)
@@ -520,7 +519,7 @@ class WorkQueueExecutor(DistributedExecutor):
             raise WorkQueueError(
                 f"bind() named {len(bound.indices)} chunks but "
                 f"run_chunks received {len(tasks)}")
-        supervisor = _Supervisor(self, kernel, packing, tasks, bound)
+        supervisor = _Supervisor(self, kernel, tasks, bound)
         self._accounting = supervisor.acct
         return supervisor.run()
 
@@ -528,13 +527,12 @@ class WorkQueueExecutor(DistributedExecutor):
 class _Supervisor:
     """One campaign's dispatch/collect loop over the queue."""
 
-    def __init__(self, executor: WorkQueueExecutor, kernel, packing: str,
-                 tasks: list, bound: _Binding):
+    def __init__(self, executor: WorkQueueExecutor, kernel, tasks: list,
+                 bound: _Binding):
         self.ex = executor
         self.queue = executor.queue
         self.clock = executor.clock
         self.kernel = kernel
-        self.packing = packing
         self.bound = bound
         self.task_by_index = dict(zip(bound.indices, tasks, strict=True))
         self.needed = frozenset(bound.indices)
@@ -552,7 +550,6 @@ class _Supervisor:
         self.worker_hb: dict[str, float] = {}
         self.drained = False
         self._saw_worker = False
-        self._inline_run = None
         self.started = self.clock()
 
     # -- the loop ------------------------------------------------------
@@ -737,12 +734,9 @@ class _Supervisor:
                 self.acct["drained_inline"] += 1
 
     def _run_inline(self, index: int) -> None:
-        if self._inline_run is None:
-            self.kernel.prepare()
-            self._inline_run = _batch_fn(self.kernel, self.packing)
         size, child = self.task_by_index[index]
-        self.ready[index] = self._inline_run(size,
-                                             np.random.default_rng(child))
+        self.ready[index] = self.kernel.run_batch_packed(
+            size, np.random.default_rng(child))
         self.due.pop(index, None)
 
     def _remove_task_files(self, index: int) -> None:

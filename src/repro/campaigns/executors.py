@@ -37,23 +37,14 @@ from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
-
-def _batch_fn(kernel: Any, packing: str) -> Callable[..., np.ndarray]:
-    """The kernel entry point for a packing mode (``"bits"`` falls back
-    to the float path when a kernel has no packed variant)."""
-    if packing == "bits" and hasattr(kernel, "run_batch_packed"):
-        return kernel.run_batch_packed
-    return kernel.run_batch
-
-
 #: The chunk entry point of this pool worker, set by :func:`_pool_init`.
 _WORKER_RUN: Callable[..., np.ndarray]
 
 
-def _pool_init(kernel: Any, packing: str) -> None:
+def _pool_init(kernel: Any) -> None:
     global _WORKER_RUN
     kernel.prepare()  # decoder built once, reused per chunk
-    _WORKER_RUN = _batch_fn(kernel, packing)
+    _WORKER_RUN = kernel.run_batch_packed
 
 
 def _pool_run(task: tuple[int, np.random.SeedSequence]
@@ -103,8 +94,11 @@ class Executor:
                    tasks: list) -> Iterator[tuple[np.ndarray, tuple]]:
         """Yield ``(outcomes, stats)`` per task, in task order.
 
-        ``tasks`` is a sequence of ``(size, numpy.random.SeedSequence)``.
-        The runner reads only ``outcomes``.  The pair shape stays so
+        ``tasks`` is a sequence of ``(size, numpy.random.SeedSequence)``;
+        each chunk's outcomes are ``kernel.run_batch_packed(size, rng)``.
+        ``packing`` is always ``"bits"`` (the one word layout) and the
+        in-tree executors ignore it.  The runner reads only
+        ``outcomes``.  The pair shape stays so
         that existing subclasses keep working; the in-tree executors
         yield ``()`` for ``stats``.
         Implementations may compute lazily — the consumer stops
@@ -136,9 +130,9 @@ class InlineExecutor(Executor):
 
     def run_chunks(self, kernel, packing, tasks):
         kernel.prepare()
-        run = _batch_fn(kernel, packing)
         for size, child in tasks:
-            yield run(size, np.random.default_rng(child)), ()
+            yield kernel.run_batch_packed(size,
+                                          np.random.default_rng(child)), ()
 
 
 class ProcessPoolExecutor(Executor):
@@ -177,7 +171,7 @@ class ProcessPoolExecutor(Executor):
     def run_chunks(self, kernel, packing, tasks):
         it = iter(tasks)
         with multiprocessing.Pool(self.workers, initializer=_pool_init,
-                                  initargs=(kernel, packing)) as pool:
+                                  initargs=(kernel,)) as pool:
             inflight = collections.deque(
                 pool.apply_async(_pool_run, (task,))
                 for task in itertools.islice(it, self.max_inflight))

@@ -28,7 +28,6 @@ class Provenance:
     version: str
     executor: str
     wall_clock_s: float
-    packing: Optional[str] = None
     batch_size: Optional[int] = None
     chunks: int = 0
     resumed_chunks: int = 0

@@ -121,15 +121,14 @@ def as_scenario_spec(spec) -> ScenarioSpec:
             spec.distance, spec.p, spec.samples,
             Scenario.from_region(spec.resolve_region(), spec.p_ano),
             decoder=spec.decoder, informed=spec.informed,
-            cycles=spec.cycles, target_rel_width=spec.target_rel_width,
-            decode=spec.decode)
+            cycles=spec.cycles, target_rel_width=spec.target_rel_width)
     if isinstance(spec, EndToEndSpec):
         strike = StrikeEvent(onset=spec.onset, size=spec.anomaly_size,
                              p_ano=spec.p_ano)
         return ScenarioSpec(
             spec.distance, spec.p, spec.shots, Scenario(events=(strike,)),
             mode="endtoend", cycles=spec.cycles, c_win=spec.c_win,
-            n_th=spec.n_th, alpha=spec.alpha, decode=spec.decode)
+            n_th=spec.n_th, alpha=spec.alpha)
     if isinstance(spec, DetectionSpec):
         normal_cycles, post_cycles = spec.resolved_cycles()
         strike = StrikeEvent(onset=normal_cycles, size=spec.anomaly_size,
@@ -137,7 +136,7 @@ def as_scenario_spec(spec) -> ScenarioSpec:
         return ScenarioSpec(
             spec.distance, spec.p, spec.trials, Scenario(events=(strike,)),
             mode="detection", c_win=spec.c_win, n_th=spec.n_th,
-            alpha=spec.alpha, post_cycles=post_cycles, decode=spec.scan)
+            alpha=spec.alpha, post_cycles=post_cycles)
     raise TypeError(
         f"{type(spec).__name__} is not a chunked shot campaign")
 
@@ -161,16 +160,16 @@ def shot_engine(spec) -> tuple[object, int, int]:
     if view.mode == "memory":
         kernel = MemoryShotKernel(
             d, p, scenario, decoder=view.decoder, informed=view.informed,
-            cycles=view.cycles, decode=view.decode)
+            cycles=view.cycles)
         return kernel, view.shots, view.total_cycles() * d * d
     if view.mode == "endtoend":
         kernel = EndToEndShotKernel(
             d, p, scenario, view.total_cycles(), view.c_win, view.n_th,
-            view.alpha, decode=view.decode, decoder=view.decoder)
+            view.alpha, decoder=view.decoder)
     else:
         kernel = DetectionShotKernel(
             d, p, scenario, view.c_win, view.n_th, view.alpha,
-            view.resolved_cycles()[1], scan=view.decode)
+            view.resolved_cycles()[1])
     return kernel, view.shots, view.total_cycles() * (d - 1) * d
 
 
@@ -262,7 +261,7 @@ def _run_chunked(kernel, spec, shots: int, batch_size: int,
     if pending:
         executor.bind(spec, batch_size=batch_size, shots=shots,
                       indices=[i for i, _ in pending])
-        stream = executor.run_chunks(kernel, spec.packing,
+        stream = executor.run_chunks(kernel, "bits",
                                      [task for _, task in pending])
 
     collected: list[np.ndarray] = []
@@ -302,7 +301,6 @@ def _run_chunked(kernel, spec, shots: int, batch_size: int,
 
 
 def _provenance(spec, executor: Executor, started: float,
-                packing: Optional[str] = None,
                 batch_size: Optional[int] = None,
                 chunks: int = 0, resumed: int = 0,
                 supervisor: Optional[dict] = None) -> Provenance:
@@ -316,7 +314,6 @@ def _provenance(spec, executor: Executor, started: float,
         version=repro.__version__,
         executor=executor.describe(),
         wall_clock_s=time.perf_counter() - started,
-        packing=packing,
         batch_size=batch_size,
         chunks=chunks,
         resumed_chunks=resumed,
@@ -426,7 +423,6 @@ def _run_shots(spec, executor: Executor, store) -> CampaignResult:
         estimates=estimates,
         counts=counts,
         provenance=_provenance(spec, executor, started,
-                               packing=spec.packing,
                                batch_size=co.batch_size,
                                chunks=co.chunks, resumed=co.resumed,
                                supervisor=co.supervisor),

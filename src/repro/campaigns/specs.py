@@ -1,7 +1,7 @@
 """Frozen, JSON-round-trippable campaign specifications.
 
 A *spec* is the complete, serializable description of one experiment:
-what to simulate, how deep, with which engine knobs, from which seed.
+what to simulate, how deep, from which seed.
 Specs are frozen dataclasses validated at construction, so an invalid
 campaign fails before any compute is spent, and :func:`spec_hash` gives
 every spec a stable identity that keys its checkpoint shards and
@@ -28,7 +28,10 @@ grid of per-point specs, each with a deterministically derived seed.
 The JSON wire format is ``{"kind": "<kind>", ...fields}``; regions
 serialize as field dicts, and ``"centered"`` is accepted as a
 declarative region that resolves against the spec's own ``distance`` at
-run time (so a distance sweep keeps one base spec).
+run time (so a distance sweep keeps one base spec).  Parsing checks
+every scalar field's JSON type against its annotation
+(:func:`spec_from_dict`), so a document either yields a spec the engine
+can run or raises :class:`SpecError`.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
 from repro.noise.models import AnomalousRegion
 from repro.scenarios.model import Scenario
-from repro.sim.batch import DECODE_MODES, PACKING_MODES
 
 #: Largest campaign seed (the engine draws seeds below 2**63).
 MAX_SEED = 2 ** 63
@@ -62,9 +66,6 @@ def _check_common(spec) -> None:
            f"seed must be an int in [0, 2**63), got {spec.seed!r}")
     if getattr(spec, "batch_size", None) is not None:
         _check(spec.batch_size >= 1, "batch_size must be >= 1")
-    if hasattr(spec, "packing"):
-        _check(spec.packing in PACKING_MODES,
-               f"packing must be one of {PACKING_MODES}")
     _check(0.0 <= spec.p <= 1.0, "p must be a probability")
     _check(spec.distance >= 3, "distance must be >= 3")
 
@@ -105,8 +106,6 @@ class MemorySpec:
     seed: int = 0
     batch_size: Optional[int] = None
     target_rel_width: Optional[float] = None
-    packing: str = "bits"
-    decode: str = "batched"
 
     def __post_init__(self) -> None:
         _check_common(self)
@@ -116,8 +115,6 @@ class MemorySpec:
                "decoder must be 'greedy' or 'mwpm'")
         _check(self.cycles is None or self.cycles >= 1,
                "cycles must be >= 1")
-        _check(self.decode in DECODE_MODES,
-               f"decode must be one of {DECODE_MODES}")
         _check(self.target_rel_width is None or self.target_rel_width > 0,
                "target_rel_width must be positive")
         _check_region(self.region, self.anomaly_size)
@@ -148,8 +145,6 @@ class EndToEndSpec:
     alpha: float = 0.01
     seed: int = 0
     batch_size: Optional[int] = None
-    packing: str = "bits"
-    decode: str = "batched"
 
     def __post_init__(self) -> None:
         _check_common(self)
@@ -161,8 +156,6 @@ class EndToEndSpec:
         _check(self.c_win >= 1, "c_win must be >= 1")
         _check(self.n_th >= 0, "n_th must be >= 0")
         _check(0.0 < self.alpha < 1.0, "alpha must be in (0, 1)")
-        _check(self.decode in DECODE_MODES,
-               f"decode must be one of {DECODE_MODES}")
 
 
 @dataclass(frozen=True)
@@ -184,8 +177,6 @@ class DetectionSpec:
     post_cycles: Optional[int] = None
     seed: int = 0
     batch_size: Optional[int] = None
-    packing: str = "bits"
-    scan: str = "batched"
 
     def __post_init__(self) -> None:
         _check_common(self)
@@ -198,8 +189,6 @@ class DetectionSpec:
         for name in ("normal_cycles", "post_cycles"):
             value = getattr(self, name)
             _check(value is None or value >= 1, f"{name} must be >= 1")
-        _check(self.scan in DECODE_MODES,
-               f"scan must be one of {DECODE_MODES}")
 
     def resolved_cycles(self) -> tuple[int, int]:
         """``(normal_cycles, post_cycles)`` with the legacy defaults."""
@@ -255,8 +244,6 @@ class ScenarioSpec:
     seed: int = 0
     batch_size: Optional[int] = None
     target_rel_width: Optional[float] = None
-    packing: str = "bits"
-    decode: str = "batched"
 
     def __post_init__(self) -> None:
         if isinstance(self.scenario, dict):
@@ -280,8 +267,6 @@ class ScenarioSpec:
         _check(0.0 < self.alpha < 1.0, "alpha must be in (0, 1)")
         _check(self.post_cycles is None or self.post_cycles >= 1,
                "post_cycles must be >= 1")
-        _check(self.decode in DECODE_MODES,
-               f"decode must be one of {DECODE_MODES}")
         _check(self.target_rel_width is None or self.target_rel_width > 0,
                "target_rel_width must be positive")
         scenario = self.scenario
@@ -347,9 +332,9 @@ class StreamingSpec:
     campaign's headline result is the per-round latency envelope —
     p50/p99 wall clock and sustained rounds/sec — judged against the
     ``code_cycle_us`` SLO (:class:`repro.hwmodel.pipeline.StreamSLO`).
-    No ``batch_size``/``packing`` knobs: the stream is inherently
-    one-round-at-a-time, and trials always run inline (wall clocks must
-    time the round loop, not a worker pool).
+    No ``batch_size``: the stream is inherently one-round-at-a-time,
+    and trials always run inline (wall clocks must time the round loop,
+    not a worker pool).
     """
 
     kind = "streaming"
@@ -562,36 +547,128 @@ def spec_to_dict(spec) -> dict:
     return doc
 
 
+#: Engine knobs the shot specs once carried, with the only value a
+#: saved document can hold for each (defaults were always serialized).
+#: On these kinds they parse and are dropped; any other value is an
+#: error, since it named a path the engine no longer has.
+_RETIRED_FIELDS: dict[str, dict[str, str]] = {
+    "memory": {"packing": "bits", "decode": "batched"},
+    "endtoend": {"packing": "bits", "decode": "batched"},
+    "detection": {"packing": "bits", "scan": "batched"},
+    "scenario": {"packing": "bits", "decode": "batched"},
+}
+
+
+def _wire_rules(cls: type) -> dict[str, tuple]:
+    """Field name -> ``(JSON type, null allowed, is a list)`` for the
+    fields of ``cls`` whose annotation is a scalar (``int``, ``float``,
+    ``bool``, ``str``), optional or not, or a ``tuple`` of one; the
+    other fields (regions, scenarios) have parsers of their own."""
+    rules = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = [a for a in typing.get_args(hint) if a is not type(None)]
+        nullable = len(args) < len(typing.get_args(hint))
+        if nullable and len(args) == 1:
+            hint = args[0]
+        listed = typing.get_origin(hint) is tuple
+        if listed:
+            hint = typing.get_args(hint)[0]
+        if hint in (int, float, bool, str):
+            rules[name] = (hint, nullable, listed)
+    return rules
+
+
+#: Per-class wire rules (the spec kinds and region dicts), built once
+#: at import.
+_WIRE_RULES = {cls: _wire_rules(cls)
+               for cls in (*SPEC_KINDS.values(), AnomalousRegion)}
+
+
+def _wire_scalar(want: type, value: Any) -> Any:
+    """``value`` as a ``want`` field holds it, or ``SpecError``.
+
+    Bools are never numbers here, an ``int`` field takes an integral
+    number (``5.0`` reads as ``5``), and a ``float`` field any finite
+    one.  Only wire documents pass through this check, so in-process
+    callers keep passing NumPy scalars.
+    """
+    if want is bool or isinstance(value, bool):
+        ok = want is bool and isinstance(value, bool)
+    elif want is int and isinstance(value, float) and value.is_integer():
+        value, ok = int(value), True
+    elif want is float:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        ok = isinstance(value, want)
+    if not ok:
+        raise SpecError(f"expected {want.__name__}, got {value!r}")
+    return value
+
+
+def _wire_value(cls: type, name: str, value: Any) -> Any:
+    """One wire field of ``cls`` checked against its annotation."""
+    if name == "region":
+        return _parse_region(value)
+    rule = _WIRE_RULES.get(cls, {}).get(name)
+    if rule is None or (value is None and rule[1]):
+        return value
+    want, _, listed = rule
+    try:
+        if not listed:
+            return _wire_scalar(want, value)
+        if not isinstance(value, list):
+            raise SpecError(f"expected an array, got {value!r}")
+        return [_wire_scalar(want, v) for v in value]
+    except SpecError as exc:
+        raise SpecError(f"{cls.__name__}.{name}: {exc}") from None
+
+
 def spec_from_dict(doc: dict):
-    """Rebuild a spec (or :class:`Sweep`) from its wire dict."""
+    """Rebuild a spec (or :class:`Sweep`) from its wire dict.
+
+    Each field's JSON type must fit its annotation (see
+    :func:`_wire_scalar`); sweep axes are arrays of such values.
+    Retired engine knobs at their one saved value are dropped (see
+    ``_RETIRED_FIELDS``).
+    """
     if not isinstance(doc, dict):
         raise SpecError(f"spec document must be an object, got {type(doc)!r}")
     kind = doc.get("kind")
     if kind == Sweep.kind:
         base = spec_from_dict(doc.get("base"))
         axes = doc.get("axes", {})
+        derive = doc.get("derive_seeds", True)
         if not isinstance(axes, dict):
             raise SpecError("sweep axes must be an object")
-        if "region" in axes:
-            axes = dict(axes)
-            axes["region"] = [_parse_region(v) for v in axes["region"]]
-        return Sweep(base=base, axes=axes,
-                     derive_seeds=bool(doc.get("derive_seeds", True)))
-    cls = SPEC_KINDS.get(kind)
+        if not isinstance(derive, bool):
+            raise SpecError(f"derive_seeds must be a bool, got {derive!r}")
+        parsed = {}
+        for name, values in axes.items():
+            if not isinstance(values, list):
+                raise SpecError(f"sweep axis {name!r} must be an array")
+            parsed[name] = [_wire_value(type(base), name, v)
+                            for v in values]
+        return Sweep(base=base, axes=parsed, derive_seeds=derive)
+    cls = SPEC_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SpecError(
             f"unknown spec kind {kind!r} (choices: "
             f"{sorted(SPEC_KINDS) + [Sweep.kind]})")
     names = {f.name for f in dataclasses.fields(cls)}
+    retired = _RETIRED_FIELDS.get(kind, {})
     kwargs = {}
     for name, value in doc.items():
         if name == "kind":
             continue
+        if name in retired:
+            if value != retired[name]:
+                raise SpecError(
+                    f"{cls.__name__} field {name!r} is retired: only "
+                    f"{retired[name]!r} parses, got {value!r}")
+            continue
         if name not in names:
             raise SpecError(f"{cls.__name__} has no field {name!r}")
-        if name == "region":
-            value = _parse_region(value)
-        kwargs[name] = value
+        kwargs[name] = _wire_value(cls, name, value)
     try:
         return cls(**kwargs)
     except TypeError as exc:  # missing required fields
@@ -603,7 +680,9 @@ def _parse_region(value):
         return value
     if isinstance(value, dict):
         try:
-            return AnomalousRegion(**value)
+            return AnomalousRegion(**{
+                k: _wire_value(AnomalousRegion, k, v)
+                for k, v in value.items()})
         except (TypeError, ValueError) as exc:
             raise SpecError(f"invalid region {value!r}: {exc}") from exc
     raise SpecError(f"invalid region {value!r}")

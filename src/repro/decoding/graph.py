@@ -103,21 +103,6 @@ class SyndromeLattice:
         layers = self.measured_layers(v, h, m)
         return self.active_nodes(self.difference_lattice(layers))
 
-    def detection_events_batch(self, v: np.ndarray, h: np.ndarray,
-                               m: np.ndarray) -> list[np.ndarray]:
-        """Per-shot active-node arrays for a ``(shots, T, ...)`` batch.
-
-        Returns a list of ``(n_s, 3)`` coordinate arrays, one per shot,
-        extracted with a single pass over the whole batch.
-        """
-        layers = self.measured_layers(v, h, m)
-        coords = np.argwhere(self.difference_lattice(layers).astype(bool))
-        shots = v.shape[0]
-        # ``argwhere`` output is sorted by the leading (shot) axis, so one
-        # searchsorted recovers the per-shot slices without a Python scan.
-        bounds = np.searchsorted(coords[:, 0], np.arange(shots + 1))
-        return [coords[bounds[s]:bounds[s + 1], 1:] for s in range(shots)]
-
     # ------------------------------------------------------------------
     # Bit-packed variants: (words, T, rows, cols) uint64, 64 shots/word.
     # ------------------------------------------------------------------
@@ -160,7 +145,7 @@ class SyndromeLattice:
 
     def detection_events_packed(self, v: np.ndarray, h: np.ndarray,
                                 m: np.ndarray):
-        """Packed :meth:`detection_events_batch`: active nodes, still packed.
+        """Packed :meth:`detection_events` for a chunk: nodes, still packed.
 
         Returns ``(coords, vals, bounds)`` as produced by
         :meth:`packed_active_nodes` on the difference lattice; feed them

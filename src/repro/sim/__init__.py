@@ -11,18 +11,14 @@ from repro.sim.detection import (
 )
 from repro.sim.endtoend import EndToEndExperiment, EndToEndResult
 from repro.sim.batch import (
-    DECODE_MODES,
     DetectionShotKernel,
     EndToEndShotKernel,
     MemoryShotKernel,
-    PACKING_MODES,
 )
 from repro.sim import bitops
 
 __all__ = [
     "backend",
-    "DECODE_MODES",
-    "PACKING_MODES",
     "bitops",
     "DetectionShotKernel",
     "EndToEndShotKernel",

@@ -2,12 +2,7 @@
 
 The paper's headline results are >= 1e5-sample campaigns; running each
 shot through per-cycle Python loops caps benches at a few hundred.  This
-module is the production hot path:
-
-* **Vectorized shot kernels** — noise sampling, syndrome extraction and
-  cut parities are computed for a whole batch of shots in a handful of
-  NumPy calls (:meth:`PhenomenologicalNoise.sample_batch`,
-  :meth:`SyndromeLattice.detection_events_batch`).
+module is the production hot path, and its only one:
 
 * **Staged pipelines** — each kernel's run is a
   :class:`repro.sim.stages.ShotPipeline` over the composable stage seam
@@ -22,23 +17,18 @@ module is the production hot path:
   kernels place each event per shot.  The region specs reach them as
   one-event scenarios (:func:`repro.campaigns.runner.shot_engine`).
 
+* **Bit-packed sampling and extraction** — Bernoulli bits are sampled
+  straight into uint64 words (64 shots per word, see
+  :mod:`repro.sim.bitops`), and syndrome differences and boundary
+  parities run as word-wise XOR; nothing is unpacked until decode, and
+  decode materializes only each shot's active-node coordinates.
+
 * **Cross-shot batched decode** — the greedy matchings of a chunk run
   through :mod:`repro.decoding.batched`: shots bucketed by active-node
   count, bucket-wide distance tensors, one flattened candidate sort and
-  a vectorized acceptance, certified bit-identical to the per-shot
-  pruned fast-greedy core (which ``decode="pershot"`` keeps as the
-  in-tree reference; MWPM always decodes per shot).  Scratch buffers
+  a vectorized acceptance (MWPM decodes shot by shot).  Scratch buffers
   live in a per-worker :class:`repro.decoding.batched.ScratchArena`
   reused across chunks.
-
-* **Bit-packed backend** — ``packing="bits"`` (the default) samples
-  Bernoulli bits straight into uint64 words (64 shots per word, see
-  :mod:`repro.sim.bitops`) and runs syndrome differences and boundary
-  parities as word-wise XOR; nothing is unpacked until decode, and
-  decode materializes only each shot's active-node coordinates.  The
-  packed backend consumes the identical uniform stream as the float
-  path, so for the same ``(seed, batch_size)`` its outcomes are
-  *bit-identical* — ``packing="none"`` remains the certified reference.
 
 * **Process fan-out** — the campaign layer's executors
   (:mod:`repro.campaigns.executors`) decide where chunks run; a pool
@@ -48,9 +38,10 @@ module is the production hot path:
 * **Reproducibility** — one :class:`numpy.random.SeedSequence` spawns a
   child seed per batch (:func:`chunk_plan`), so a campaign's outcomes
   depend only on ``(seed, batch_size)`` — never on the worker count or
-  on scheduling.
-
-``workers = 0`` everywhere falls back to the original sequential path.
+  on scheduling.  ``tests/reference_engines.py::reference_chunk``
+  recomputes any chunk from the same draws through float arrays,
+  per-shot extraction, per-shot matching and per-shot scans; the
+  equivalence suites certify the kernels bit-identical to it.
 """
 
 from __future__ import annotations
@@ -80,17 +71,6 @@ from repro.sim.stages import (DetectionExtractStage, DetectionScoreStage,
                               MemoryExtractStage, MemorySampleStage,
                               ShotPipeline, StageContext, StageState,
                               StrikeSampleStage)
-# The per-shot anomalous overwrites moved to the stage seam; re-exported
-# here because they are part of this module's long-standing test surface.
-from repro.sim.stages import _overwrite_anomalous as _overwrite_anomalous
-from repro.sim.stages import (
-    _overwrite_anomalous_packed as _overwrite_anomalous_packed)
-
-#: Recognized values of the shot-engine ``packing`` knob.
-PACKING_MODES = ("bits", "none")
-
-#: Recognized values of the shot-engine ``decode``/``scan`` knobs.
-DECODE_MODES = ("batched", "pershot")
 
 #: Largest single chunk an in-process (``workers=0``) campaign decodes
 #: at once: the retired sequential entry points batch their whole shot
@@ -158,6 +138,14 @@ def _strike_model(distance: int, regions: tuple, w_anos: tuple):
     return MultiRegionDistanceModel(distance, regions, w_anos)
 
 
+def _mwpm_parities(mwpm: MWPMDecoder, nodes_list: list) -> np.ndarray:
+    """Per-shot MWPM cut parities for a chunk (no nodes: parity 0)."""
+    return np.fromiter(
+        ((mwpm.decode(nodes).correction_cut_parity if len(nodes) else 0)
+         for nodes in nodes_list),
+        dtype=np.int8, count=len(nodes_list))
+
+
 def _windowed_over(activity: np.ndarray, c_win: int,
                    v_th: float) -> tuple[np.ndarray, np.ndarray]:
     """Sliding-window counter state for one shot's activity stream.
@@ -202,28 +190,60 @@ def _windowed_over_batch(activity: np.ndarray, c_win: int,
 # ----------------------------------------------------------------------
 # Shot kernels
 # ----------------------------------------------------------------------
-class MemoryShotKernel:
-    """Batched version of :meth:`MemoryExperiment.run_once`.
+class _ShotKernel:
+    """The chunk plumbing every shot kernel shares.
 
-    ``run_batch(shots, rng)`` returns an ``(shots,)`` int8 array of
-    logical-failure indicators, distributionally identical to ``shots``
-    sequential ``run_once`` calls (the same error model and the exact
-    same matching; only the order in which the uniforms are drawn
-    differs).  The strikes are ``scenario``'s fixed-position events
-    (none by default), applied chunk-wide by the noise model;
-    ``informed`` decodes with their boxes weighted.
+    A kernel builds its prepared state lazily (:meth:`prepare`, once
+    per process), pickles without it, and runs a chunk as one pass of
+    its :meth:`pipeline` under a fresh :class:`StageContext`.
     """
 
-    #: column of ``run_batch`` output that feeds the streamed estimate
+    _state: Optional[tuple] = None
+    _arena: Optional[ScratchArena] = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["_state"] = None  # rebuilt lazily inside each worker
+        state["_arena"] = None
+        return state
+
+    def _context(self, shots: int, rng: Optional[np.random.Generator],
+                 packing: str = "bits") -> StageContext:
+        """The stage context of one chunk.
+
+        ``packing`` names the word layout; ``"bits"`` is the only one.
+        """
+        if packing != "bits":
+            raise ValueError(f"packing must be 'bits', got {packing!r}")
+        self.prepare()
+        return StageContext(shots=shots, rng=rng, arena=self._arena)
+
+    def run_batch_packed(self, shots: int,
+                         rng: np.random.Generator) -> np.ndarray:
+        """One chunk's outcome rows (the kernel's single entry point)."""
+        return self.pipeline().run(self._context(shots, rng))
+
+
+class MemoryShotKernel(_ShotKernel):
+    """Batched version of :meth:`MemoryExperiment.run_once`.
+
+    ``run_batch_packed(shots, rng)`` returns an ``(shots,)`` int8 array
+    of logical-failure indicators, distributionally identical to
+    ``shots`` sequential ``run_once`` calls (the same error model and
+    the exact same matching; only the order in which the uniforms are
+    drawn differs).  The strikes are ``scenario``'s fixed-position
+    events (none by default), applied chunk-wide by the noise model;
+    ``informed`` decodes with their boxes weighted.  Active-node
+    coordinates for the whole chunk come out of one bulk lane unpack.
+    """
+
+    #: column of the outcome rows that feeds the streamed estimate
     success_column = 0
     default_batch_size = 512
 
     def __init__(self, distance: int, p: float,
                  scenario: Scenario = NO_STRIKES, decoder: str = "greedy",
-                 informed: bool = False, cycles: Optional[int] = None,
-                 decode: str = "batched"):
-        if decode not in DECODE_MODES:
-            raise ValueError(f"decode must be one of {DECODE_MODES}")
+                 informed: bool = False, cycles: Optional[int] = None):
         if not scenario.fixed:
             raise ValueError(
                 "memory-kernel scenarios need fixed event positions")
@@ -233,9 +253,6 @@ class MemoryShotKernel:
         self.decoder = decoder
         self.informed = informed
         self.cycles = cycles if cycles is not None else distance
-        self.decode = decode
-        self._state = None
-        self._arena: Optional[ScratchArena] = None
 
     def prepare(self) -> None:
         """Build noise/lattice/decoder once (per process, per worker)."""
@@ -255,36 +272,17 @@ class MemoryShotKernel:
         self._arena = ScratchArena()
         self._state = (noise, lattice, model, mwpm)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_state"] = None  # rebuilt lazily inside each worker
-        state["_arena"] = None
-        return state
-
-    def _cut_parity(self, nodes: np.ndarray) -> int:
-        """Matching north-cut parity for one shot."""
-        if len(nodes) == 0:
-            return 0
-        _, _, model, mwpm = self._state
-        if mwpm is not None:
-            return mwpm.decode(nodes).correction_cut_parity
-        return greedy_cut_parity(model, nodes)
-
     def _cut_parities(self, nodes_list: list) -> np.ndarray:
         """Matching parities for a whole chunk of shots.
 
-        The greedy decoder runs through the bucketed batched engine
-        (``decode="pershot"`` keeps the PR 2 per-shot loop as the
-        certified reference); MWPM always decodes shot by shot.
+        The greedy decoder runs through the bucketed batched engine;
+        MWPM decodes shot by shot.
         """
         _, _, model, mwpm = self._state
-        if mwpm is None and self.decode == "batched":
+        if mwpm is None:
             return batched_cut_parities(model, nodes_list,
                                         arena=self._arena)
-        out = np.empty(len(nodes_list), dtype=np.int8)
-        for s, nodes in enumerate(nodes_list):
-            out[s] = self._cut_parity(nodes)
-        return out
+        return _mwpm_parities(mwpm, nodes_list)
 
     def pipeline(self) -> ShotPipeline:
         """This kernel's staged pipeline (sample/extract/decode/accumulate)."""
@@ -294,29 +292,8 @@ class MemoryShotKernel:
                              MemoryDecodeStage(self),
                              MemoryAccumulateStage(self)))
 
-    def _context(self, shots: int, rng: Optional[np.random.Generator],
-                 packing: str) -> StageContext:
-        self.prepare()
-        return StageContext(shots=shots, packing=packing, rng=rng,
-                            arena=self._arena)
 
-    def run_batch(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self.pipeline().run(self._context(shots, rng, "none"))
-
-    def run_batch_packed(self, shots: int,
-                         rng: np.random.Generator) -> np.ndarray:
-        """Bit-packed :meth:`run_batch`: identical outputs per seed.
-
-        Sampling, syndrome differences and the boundary parity all stay
-        word-wise over uint64 (64 shots per word); active-node
-        coordinates for the whole chunk come out of one bulk lane
-        unpack, and the matchings run through the bucketed batched
-        decode engine.
-        """
-        return self.pipeline().run(self._context(shots, rng, "bits"))
-
-
-class EndToEndShotKernel:
+class EndToEndShotKernel(_ShotKernel):
     """Batched end-to-end strike shots (detect, estimate, re-decode).
 
     Output rows are ``(naive, detected, oracle, latency)`` with
@@ -328,6 +305,13 @@ class EndToEndShotKernel:
     under the discard-pre-onset semantics: masks from discarded events
     are cleared, and the first accepted event ends the shot, so no mask
     can ever touch a scored detection).
+
+    The per-shot truncated rerun (``v[:stop]`` …) never happens: the
+    difference lattice of a run stopped at ``stop`` is the first
+    ``stop`` layers of the live activity stream plus a final layer that
+    is exactly ``m[stop - 1]``, and the truncated error parity is one
+    bit of the packed running north-cut parity — all of which are
+    sliced out of the word arrays already computed for the whole chunk.
     """
 
     success_column = 1  # detected-strategy failures drive early stopping
@@ -335,9 +319,7 @@ class EndToEndShotKernel:
 
     def __init__(self, distance: int, p: float, scenario: Scenario,
                  cycles: int, c_win: int, n_th: int, alpha: float,
-                 decode: str = "batched", decoder: str = "greedy"):
-        if decode not in DECODE_MODES:
-            raise ValueError(f"decode must be one of {DECODE_MODES}")
+                 decoder: str = "greedy"):
         if decoder not in ("greedy", "mwpm"):
             raise ValueError("decoder must be 'greedy' or 'mwpm'")
         if not scenario.events:
@@ -350,10 +332,7 @@ class EndToEndShotKernel:
         self.c_win = c_win
         self.n_th = n_th
         self.alpha = alpha
-        self.decode = decode
         self.decoder = decoder
-        self._state = None
-        self._arena: Optional[ScratchArena] = None
 
     def prepare(self) -> None:
         if self._state is not None:
@@ -372,69 +351,39 @@ class EndToEndShotKernel:
         self._arena = ScratchArena()
         self._state = (lattice, v_th, base_noise, naive_model, w_anos)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_state"] = None
-        state["_arena"] = None
-        return state
-
     def _naive_parities(self, nodes_list: list) -> np.ndarray:
-        """Naive-model matchings for the chunk, bucketed when enabled.
+        """Naive-model matchings for the chunk.
 
         The naive decode shares one :class:`DistanceModel` across every
-        shot, so it batches; the oracle/detected decodes depend on each
-        shot's own (true or estimated) region and stay per shot.  MWPM
-        always decodes shot by shot.
+        shot, so greedy runs through the bucketed engine; MWPM decodes
+        shot by shot.
         """
-        _, _, _, naive_model, _ = self._state
-        if self.decoder == "mwpm":
-            mwpm = MWPMDecoder(naive_model)
-            return np.fromiter(
-                ((mwpm.decode(nodes).correction_cut_parity if len(nodes)
-                  else 0) for nodes in nodes_list),
-                dtype=np.int8, count=len(nodes_list))
-        if self.decode == "batched":
+        naive_model = self._state[3]
+        if self.decoder == "greedy":
             return batched_cut_parities(naive_model, nodes_list,
                                         arena=self._arena)
-        return np.fromiter(
-            (greedy_cut_parity(naive_model, nodes) for nodes in nodes_list),
-            dtype=np.int8, count=len(nodes_list))
-
-    def _detect(self, activity: np.ndarray):
-        """Windowed-count scan of one shot's activity stream.
-
-        Returns ``(stop, estimated, latency)``: where the exposure
-        window closes (``onset + d`` cycles after the flag, or the full
-        run on a miss), the control unit's region estimate, and the
-        detection latency (-1 on a miss).  The single copy of the scan
-        tail keeps every path — float, packed, per-shot, batched —
-        scoring identically.
-        """
-        _, v_th, _, _, _ = self._state
-        return self._detect_scan(*_windowed_over(activity, self.c_win,
-                                                 v_th))
+        return _mwpm_parities(MWPMDecoder(naive_model), nodes_list)
 
     def _detect_all(self, activity: np.ndarray) -> list:
         """Detection scans for a whole ``(S, T, rows, cols)`` chunk.
 
-        ``decode="batched"`` runs one batched windowed-count pass;
-        ``"pershot"`` keeps the per-shot scans.  Bit-equal either way
-        (integer window sums), certified by the equivalence suite.
+        One batched windowed-count pass; integer window sums keep every
+        shot's scan equal to a per-shot :func:`_windowed_over` scan.
         """
-        _, v_th, _, _, _ = self._state
-        if self.decode == "batched":
-            over, n_over = _windowed_over_batch(activity, self.c_win,
-                                                v_th)
-            return [self._detect_scan(over[s], n_over[s])
-                    for s in range(len(activity))]
-        return [self._detect(activity[s]) for s in range(len(activity))]
+        over, n_over = _windowed_over_batch(activity, self.c_win,
+                                            self._state[1])
+        return [self._detect_scan(over[s], n_over[s])
+                for s in range(len(activity))]
 
     def _detect_scan(self, over: np.ndarray, n_over: np.ndarray):
-        """The scan tail shared by the per-shot and batched passes.
+        """One shot's scan tail over its windowed counter state.
 
-        The control unit reasons about the scenario's lead strike: the
-        scan scores latency from its onset and estimates a box of its
-        size.
+        Returns ``(stop, estimated, latency)``: where the exposure
+        window closes (``onset + d`` cycles after the flag, or the full
+        run on a miss), the control unit's region estimate, and the
+        detection latency (-1 on a miss).  The control unit reasons
+        about the scenario's lead strike: the scan scores latency from
+        its onset and estimates a box of its size.
         """
         d, cycles, c_win = self.distance, self.cycles, self.c_win
         lead = self.scenario.events[self.lead]
@@ -489,12 +438,6 @@ class EndToEndShotKernel:
                              EndToEndDecodeStage(self),
                              EndToEndAccumulateStage(self)))
 
-    def _context(self, shots: int, rng: Optional[np.random.Generator],
-                 packing: str) -> StageContext:
-        self.prepare()
-        return StageContext(shots=shots, packing=packing, rng=rng,
-                            arena=self._arena)
-
     def _assemble(self, nodes_list: list, parities: np.ndarray,
                   regions: list, detections: list) -> np.ndarray:
         """Decode + accumulate over pre-detected chunk inputs.
@@ -504,36 +447,18 @@ class EndToEndShotKernel:
         detections``) through the decode and accumulate stages — the
         decode-stage bench times exactly this tail.
         """
-        self.prepare()
         state = StageState()
         state.nodes_list = nodes_list
         state.parities = parities
         state.regions = regions
         state.detections = detections
-        ctx = self._context(len(nodes_list), None, "bits")
+        ctx = self._context(len(nodes_list), None)
         EndToEndDecodeStage(self).run(ctx, state)
         EndToEndAccumulateStage(self).run(ctx, state)
         return state.outcomes
 
-    def run_batch(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self.pipeline().run(self._context(shots, rng, "none"))
-
-    def run_batch_packed(self, shots: int,
-                         rng: np.random.Generator) -> np.ndarray:
-        """Bit-packed :meth:`run_batch`: identical outputs per seed.
-
-        The per-shot truncated rerun (``v[:stop]`` …) never happens:
-        the difference lattice of a run stopped at ``stop`` is the first
-        ``stop`` layers of the live activity stream plus a final layer
-        that is exactly ``m[stop - 1]``, and the truncated error parity
-        is one bit of the packed running north-cut parity — all of which
-        are sliced out of the word arrays already computed for the whole
-        batch.
-        """
-        return self.pipeline().run(self._context(shots, rng, "bits"))
-
     def _chunk_packed(self, shots: int, rng: np.random.Generator) -> tuple:
-        """Sample + detect one packed chunk, stopping short of decode.
+        """Sample + detect one chunk, stopping short of decode.
 
         Returns the decode-stage inputs ``(nodes_list, parities,
         regions, detections)`` — the seam the decode-stage bench times
@@ -541,7 +466,7 @@ class EndToEndShotKernel:
         ``run_until("detect")``.
         """
         state = self.pipeline().run_until(
-            "detect", self._context(shots, rng, "bits"))
+            "detect", self._context(shots, rng))
         return (state.nodes_list, state.parities, state.regions,
                 state.detections)
 
@@ -565,7 +490,7 @@ class EndToEndShotKernel:
         return nodes
 
 
-class DetectionShotKernel:
+class DetectionShotKernel(_ShotKernel):
     """Batched detection trials (Fig. 7) for the shot engine.
 
     Output rows are ``(false_positive, detected, latency, position_error)``
@@ -574,23 +499,18 @@ class DetectionShotKernel:
     lead event's onset and ``post_cycles`` follow it.  Uses
     the same windowed-count scan as :class:`EndToEndShotKernel`: exact
     under the discard semantics, where pre-onset flags clear their masks
-    and the first post-onset flag ends the trial.  ``scan="batched"``
-    (the default) runs one windowed-count pass over the whole chunk;
-    ``"pershot"`` keeps the per-trial scan as the in-tree reference —
-    outputs are bit-equal either way.
+    and the first post-onset flag ends the trial.  Sampling and the
+    syndrome-difference stream stay packed (64 trials per uint64 word)
+    until one batched windowed-count pass scans the whole chunk.
     """
 
     success_column = 1
     default_batch_size = 16
 
     def __init__(self, distance: int, p: float, scenario: Scenario,
-                 c_win: int, n_th: int, alpha: float, post_cycles: int,
-                 scan: str = "batched"):
-        if scan not in DECODE_MODES:
-            raise ValueError(f"scan must be one of {DECODE_MODES}")
+                 c_win: int, n_th: int, alpha: float, post_cycles: int):
         if not scenario.events:
             raise ValueError("detection scenarios need at least one event")
-        self.scan = scan
         self.distance = distance
         self.p = p
         self.scenario = scenario
@@ -603,7 +523,6 @@ class DetectionShotKernel:
         self.c_win = c_win
         self.n_th = n_th
         self.alpha = alpha
-        self._state = None
 
     def prepare(self) -> None:
         if self._state is not None:
@@ -615,40 +534,20 @@ class DetectionShotKernel:
             self.distance, self.p, replace(self.scenario, events=()))
         self._state = (SyndromeLattice(self.distance), v_th, base_noise)
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_state"] = None
-        return state
-
-    def _score_trial(self, activity: np.ndarray, regions: tuple) -> tuple:
-        """One trial's windowed-count scan and outcome row.
-
-        Returns ``(false_positive, detected, latency, position_error)``;
-        the single copy of the scan tail keeps every path — float,
-        packed, per-shot, batched — scoring identically.
-        """
-        v_th = self._state[1]
-        return self._score_scan(*_windowed_over(activity, self.c_win,
-                                                v_th), regions)
-
     def _score_all(self, activity: np.ndarray,
                    regions: list) -> np.ndarray:
         """Outcome rows for a whole ``(S, T, rows, cols)`` chunk."""
         shots = len(activity)
         out = np.empty((shots, 4), dtype=np.float64)
-        if self.scan == "batched":
-            over, n_over = _windowed_over_batch(activity, self.c_win,
-                                                self._state[1])
-            for s in range(shots):
-                out[s] = self._score_scan(over[s], n_over[s], regions[s])
-        else:
-            for s in range(shots):
-                out[s] = self._score_trial(activity[s], regions[s])
+        over, n_over = _windowed_over_batch(activity, self.c_win,
+                                            self._state[1])
+        for s in range(shots):
+            out[s] = self._score_scan(over[s], n_over[s], regions[s])
         return out
 
     def _score_scan(self, over: np.ndarray, n_over: np.ndarray,
                     regions: tuple) -> tuple:
-        """The scan tail shared by the per-shot and batched passes.
+        """One trial's outcome row from its windowed counter state.
 
         ``regions`` holds the trial's per-event boxes; the lead event's
         box is the one position error is scored against — later
@@ -679,21 +578,3 @@ class DetectionShotKernel:
         return ShotPipeline((StrikeSampleStage(self),
                              DetectionExtractStage(self),
                              DetectionScoreStage(self)))
-
-    def _context(self, shots: int, rng: Optional[np.random.Generator],
-                 packing: str) -> StageContext:
-        self.prepare()
-        return StageContext(shots=shots, packing=packing, rng=rng)
-
-    def run_batch(self, shots: int, rng: np.random.Generator) -> np.ndarray:
-        return self.pipeline().run(self._context(shots, rng, "none"))
-
-    def run_batch_packed(self, shots: int,
-                         rng: np.random.Generator) -> np.ndarray:
-        """Bit-packed :meth:`run_batch`: identical outputs per seed.
-
-        Sampling and the syndrome-difference stream stay packed (64
-        trials per uint64 word); only each trial's own activity lane is
-        read back, by the windowed-count scan.
-        """
-        return self.pipeline().run(self._context(shots, rng, "bits"))

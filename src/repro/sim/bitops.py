@@ -1,12 +1,13 @@
 """Bit-packed shot storage: 64 Monte-Carlo shots per uint64 word.
 
-The batched shot engine's float sampling path materializes 8 bytes per
-sampled Bernoulli bit, so memory — not CPU — caps campaign size.  This
-module is the Stim-style answer: shots live along a packed leading axis
-(word ``w``, lane ``b`` holds shot ``64 * w + b``, LSB first), so a
-boolean batch of shape ``(shots, T, rows, cols)`` becomes a uint64 array
-of shape ``(ceil(shots / 64), T, rows, cols)`` and every element-wise
-XOR over the batch turns into one word-wise XOR over 64 shots.
+Float sampling materializes 8 bytes per sampled Bernoulli bit, so
+memory — not CPU — would cap campaign size.  This module is the
+Stim-style answer the shot engine runs on: shots live along a packed
+leading axis (word ``w``, lane ``b`` holds shot ``64 * w + b``, LSB
+first), so a boolean batch of shape ``(shots, T, rows, cols)`` becomes
+a uint64 array of shape ``(ceil(shots / 64), T, rows, cols)`` and every
+element-wise XOR over the batch turns into one word-wise XOR over 64
+shots.
 
 Conventions:
 
@@ -83,17 +84,6 @@ def unpack_shots(words: np.ndarray, shots: int) -> np.ndarray:
     bits = np.moveaxis(lanes_last, -1, 1).reshape(
         (n_words * WORD_BITS,) + words.shape[1:])
     return bits[:shots].astype(bool)
-
-
-def lane(words: np.ndarray, shot: int) -> np.ndarray:
-    """Extract one shot's bits as a uint8 0/1 array (packed axis dropped).
-
-    This is the only per-shot unpacking the packed kernels perform: one
-    lane of the already-extracted syndrome stream, never the raw batch.
-    """
-    xp = backend.get_array_module(words)
-    w, b = divmod(shot, WORD_BITS)
-    return ((words[w] >> xp.uint64(b)) & xp.uint64(1)).astype(xp.uint8)
 
 
 def lane_bit(words: np.ndarray, shot: int) -> int:

@@ -73,7 +73,6 @@ def run_detection_trials(
     post_cycles: Optional[int] = None,
     seed: Optional[int] = None,
     workers: int = 0,
-    packing: str = "bits",
 ) -> DetectionPerformance:
     """Stream trials through the detection unit and aggregate outcomes.
 
@@ -86,10 +85,9 @@ def run_detection_trials(
     Each trial: ``normal_cycles`` of anomaly-free operation (any flag here
     is a false positive), then an MBBE appears at a random position and
     runs for ``post_cycles`` (no flag here is a miss).  The staged batch
-    kernel (one windowed-count pass per chunk, bit-packed
-    sampling/extraction by default — see ``packing``) is the only
-    engine: ``workers = 0`` (default) runs it in-process over
-    whole-request chunks (``batch_size = trials``, shrunk by
+    kernel (bit-packed sampling/extraction, one windowed-count pass per
+    chunk) is the only engine: ``workers = 0`` (default) runs it
+    in-process over whole-request chunks (``batch_size = trials``, shrunk by
     :func:`repro.sim.batch.default_chunk_shots` when the chunk's
     activity tensors would not fit in memory), ``> 1`` fans batches over
     a process pool.  The retired per-cycle reference loop lives in
@@ -106,7 +104,7 @@ def run_detection_trials(
         distance=distance, p=p, p_ano=p_ano,
         anomaly_size=anomaly_size, c_win=c_win, n_th=n_th,
         alpha=alpha, trials=trials, normal_cycles=normal_cycles,
-        post_cycles=post_cycles, seed=seed, packing=packing)
+        post_cycles=post_cycles, seed=seed)
     executor = campaigns.default_executor(workers)
     return campaigns.run(spec, executor=executor).detail
 

@@ -121,8 +121,7 @@ class EndToEndExperiment:
             rng: Optional[np.random.Generator] = None,
             workers: int = 0,
             batch_size: Optional[int] = None,
-            seed: Optional[int] = None,
-            packing: str = "bits") -> EndToEndResult:
+            seed: Optional[int] = None) -> EndToEndResult:
         """Run the campaign and aggregate failure rates.
 
         This is now a thin shim over the unified campaign API — it
@@ -132,10 +131,8 @@ class EndToEndExperiment:
         campaign API for new code (sweeps, executors, checkpoint/resume,
         provenance).
 
-        The staged shot kernel (region-bucketed decoding, bit-packed
-        sampling by default — ``packing="bits"`` is outcome-identical
-        to the ``"none"`` float reference per ``(seed, batch_size)``)
-        is the only engine: ``workers = 0`` (default) runs it
+        The staged shot kernel (bit-packed sampling, region-bucketed
+        decoding) is the only engine: ``workers = 0`` (default) runs it
         in-process over whole-request chunks (``batch_size = shots``,
         shrunk by :func:`repro.sim.batch.default_chunk_shots` when the
         chunk's activity tensors would not fit in memory);
@@ -158,6 +155,6 @@ class EndToEndExperiment:
             p_ano=self.p_ano, anomaly_size=self.anomaly_size,
             onset=self.onset, cycles=self.cycles, c_win=self.c_win,
             n_th=self.n_th, alpha=self.alpha, seed=seed,
-            batch_size=batch_size, packing=packing)
+            batch_size=batch_size)
         executor = campaigns.default_executor(workers)
         return campaigns.run(spec, executor=executor).detail

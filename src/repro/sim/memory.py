@@ -132,7 +132,6 @@ class MemoryExperiment:
             batch_size: Optional[int] = None,
             seed: Optional[int] = None,
             target_rel_width: Optional[float] = None,
-            packing: str = "bits",
             ) -> LogicalErrorEstimate:
         """Estimate the logical failure rate over ``samples`` shots.
 
@@ -148,11 +147,9 @@ class MemoryExperiment:
         ``workers = 0`` (default) runs the original sequential per-shot
         path.  ``workers >= 1`` runs the batched shot engine
         (:mod:`repro.sim.batch`): bit-packed sampling and word-wise
-        syndrome extraction (``packing="bits"``, the default; bit-equal
-        to the ``packing="none"`` float reference per ``(seed,
-        batch_size)``), the certified-equal fast matching core, and —
-        for ``workers > 1`` — a process pool with per-worker decoder
-        reuse.  Batched campaigns are reproducible from ``seed`` (drawn
+        syndrome extraction, the certified-equal fast matching core,
+        and — for ``workers > 1`` — a process pool with per-worker
+        decoder reuse.  Batched campaigns are reproducible from ``seed`` (drawn
         from ``rng`` when not given) and can stop early once the Wilson
         interval is narrower than ``target_rel_width`` times the mean.
         """
@@ -172,8 +169,7 @@ class MemoryExperiment:
             distance=self.distance, p=self.p, samples=samples,
             region=self.region, p_ano=self.p_ano, decoder=self.decoder,
             informed=self.informed, cycles=self.cycles, seed=seed,
-            batch_size=batch_size, target_rel_width=target_rel_width,
-            packing=packing)
+            batch_size=batch_size, target_rel_width=target_rel_width)
         executor = campaigns.default_executor(workers)
         return campaigns.run(spec, executor=executor).detail
 
@@ -190,7 +186,6 @@ def logical_error_rate(
     workers: int = 0,
     batch_size: Optional[int] = None,
     target_rel_width: Optional[float] = None,
-    packing: str = "bits",
 ) -> LogicalErrorEstimate:
     """Convenience one-call estimator (used by benches and examples)."""
     experiment = MemoryExperiment(
@@ -198,8 +193,7 @@ def logical_error_rate(
         decoder=decoder, informed=informed)
     return experiment.run(samples, np.random.default_rng(seed),
                           workers=workers, batch_size=batch_size,
-                          target_rel_width=target_rel_width,
-                          packing=packing)
+                          target_rel_width=target_rel_width)
 
 
 def fit_scaling_exponent(

@@ -5,14 +5,14 @@ story — ``sample → extract → detect → decode → accumulate`` — but un
 this module existed each beat lived as a branch inside a kernel method,
 so none of them could be exercised (or replaced) on its own.  Here each
 beat is a :class:`Stage` object: a :class:`ShotPipeline` threads one
-immutable :class:`StageContext` (RNG stream, packing mode, scratch
-arena, array-backend handle) and one mutable
-:class:`StageState` through the stages in order, and the kernels'
-``run_batch`` / ``run_batch_packed`` entry points are nothing but a
-pipeline run.  The staged kernels are certified bit-identical per
-``(seed, batch_size)`` to the pre-seam paths (``tests/test_stages.py``
-pins pre-refactor golden outcomes), because every stage body is the
-kernel code moved verbatim — the seam changes *structure*, never math.
+immutable :class:`StageContext` (RNG stream, scratch arena,
+array-backend handle) and one mutable :class:`StageState` through the
+stages in order, and the kernels' ``run_batch_packed`` entry point is
+nothing but a pipeline run.  The staged kernels are certified
+bit-identical per ``(seed, batch_size)`` to the pre-seam paths
+(``tests/test_stages.py`` pins pre-refactor golden outcomes), because
+every stage body is the kernel code moved verbatim — the seam changes
+*structure*, never math.
 
 Stage coverage per kernel:
 
@@ -60,9 +60,6 @@ class StageContext:
 
     Args:
         shots: shots (or trials) in this chunk.
-        packing: ``"bits"`` for the bit-packed word layout, ``"none"``
-            for the float reference layout — the same knob the kernels
-            expose, decided once per run instead of per method.
         rng: the chunk's seeded generator.  ``None`` is allowed for
             partial runs that start after the sample stage (e.g. the
             decode-stage bench feeding a pre-sampled chunk in).
@@ -73,7 +70,6 @@ class StageContext:
     """
 
     shots: int
-    packing: str
     rng: Optional[np.random.Generator] = None
     arena: Optional[ScratchArena] = None
     backend: ModuleType = field(default=_backend_module)
@@ -87,12 +83,12 @@ class StageState:
 
     * ``regions`` — per-shot tuples of true strike regions, one per
       scenario event in declaration order (*sample*).
-    * ``v`` / ``h`` / ``m`` — error arrays, float or packed (*sample*).
-    * ``activity`` — per-cycle node-activity stream (*extract*).
+    * ``v`` / ``h`` / ``m`` — packed error words (*sample*).
+    * ``activity`` — packed per-cycle node-activity stream (*extract*).
     * ``coords`` / ``vals`` / ``bounds`` — packed active-node index
-      arrays (*extract*, packed runs).
+      arrays (*extract*).
     * ``north_prefix`` — packed running north-cut parities (*extract*,
-      packed end-to-end runs).
+      end-to-end runs).
     * ``nodes_list`` — per-shot active-node coordinate arrays
       (*extract* for memory, *detect* for end-to-end, whose truncation
       point depends on the scan).
@@ -182,9 +178,9 @@ class _KernelStage(Stage):
     """A stage bound to its kernel's configuration and prepared state.
 
     The concrete stages close over the kernel object rather than copy
-    its parameters: the kernel remains the single owner of knobs like
-    ``decode``/``scan`` and of the prepared noise/lattice/decoder tuple,
-    so staged runs can never drift from the kernel's configuration.
+    its parameters: the kernel remains the single owner of its
+    configuration and of the prepared noise/lattice/decoder tuple, so
+    staged runs can never drift from it.
     """
 
     def __init__(self, kernel: Any):
@@ -192,39 +188,21 @@ class _KernelStage(Stage):
 
 
 # ----------------------------------------------------------------------
-# Per-shot anomalous-region overwrites (shared by sample stages)
+# Per-shot anomalous-region overwrite (shared by the strike sample stage)
 # ----------------------------------------------------------------------
-def _overwrite_anomalous(v: np.ndarray, h: np.ndarray, m: np.ndarray,
-                         shot: int, region: AnomalousRegion,
-                         distance: int, p_ano: float,
-                         rng: np.random.Generator) -> None:
-    """Resample one shot's error arrays at ``p_ano`` inside ``region``.
-
-    The batched kernels draw the whole batch at the base rate first;
-    per-shot regions then only touch their own cells, mirroring
-    ``PhenomenologicalNoise.sample`` with that region.
-    """
-    masks = build_anomalous_masks(distance, region)
-    cycles = v.shape[1]
-    t_hi = region.t_hi if region.t_hi is not None else cycles
-    t_lo, t_hi = max(0, region.t_lo), min(cycles, t_hi)
-    if t_hi <= t_lo:
-        return
-    span = t_hi - t_lo
-    for arr, mask in zip((v, h, m), masks, strict=True):
-        arr[shot, t_lo:t_hi][:, mask] = (
-            rng.random((span, int(mask.sum()))) < p_ano)
-
-
 def _overwrite_anomalous_packed(v: np.ndarray, h: np.ndarray, m: np.ndarray,
                                 shot: int, region: AnomalousRegion,
                                 distance: int, p_ano: float,
                                 rng: np.random.Generator) -> None:
-    """Packed-word counterpart of :func:`_overwrite_anomalous`.
+    """Resample one shot's packed error words at ``p_ano`` in ``region``.
 
-    Draws the identical uniforms (same shapes, same order), then
-    deposits them into ``shot``'s lane of the affected words with a
-    set/clear mask — the rest of the word's 64 shots are untouched.
+    The kernels draw the whole chunk at the base rate first; per-shot
+    regions then only touch their own cells, mirroring
+    ``PhenomenologicalNoise.sample`` with that region.  The uniforms
+    are drawn per array in ``v, h, m`` order over the clipped time
+    span, then deposited into ``shot``'s lane of the affected words
+    with a set/clear mask — the rest of the word's 64 shots are
+    untouched.
     """
     masks = build_anomalous_masks(distance, region)
     cycles = v.shape[1]
@@ -252,10 +230,8 @@ class MemorySampleStage(_KernelStage):
 
     def run(self, ctx: StageContext, state: StageState) -> None:
         noise = self.kernel._state[0]
-        sample = (noise.sample_batch_packed if ctx.packing == "bits"
-                  else noise.sample_batch)
-        state.v, state.h, state.m = sample(ctx.shots, self.kernel.cycles,
-                                           ctx.rng)
+        state.v, state.h, state.m = noise.sample_batch_packed(
+            ctx.shots, self.kernel.cycles, ctx.rng)
 
 
 class MemoryExtractStage(_KernelStage):
@@ -265,23 +241,18 @@ class MemoryExtractStage(_KernelStage):
 
     def run(self, ctx: StageContext, state: StageState) -> None:
         lattice = self.kernel._state[1]
-        v, h, m = state.v, state.h, state.m
-        if ctx.packing == "bits":
-            coords, vals, _ = lattice.detection_events_packed(v, h, m)
-            parity_words = lattice.error_cut_parity_packed(v)
-            nodes, offsets = lattice.shot_nodes_bulk(coords, vals,
-                                                     ctx.shots)
-            state.nodes_list = [nodes[offsets[s]:offsets[s + 1]]
-                                for s in range(ctx.shots)]
-            state.parities = bitops.unpack_shots(
-                parity_words, ctx.shots).astype(np.int8)
-        else:
-            state.nodes_list = lattice.detection_events_batch(v, h, m)
-            state.parities = lattice.error_cut_parity(v).astype(np.int8)
+        coords, vals, _ = lattice.detection_events_packed(
+            state.v, state.h, state.m)
+        nodes, offsets = lattice.shot_nodes_bulk(coords, vals, ctx.shots)
+        state.nodes_list = [nodes[offsets[s]:offsets[s + 1]]
+                            for s in range(ctx.shots)]
+        state.parities = bitops.unpack_shots(
+            lattice.error_cut_parity_packed(state.v),
+            ctx.shots).astype(np.int8)
 
 
 class MemoryDecodeStage(_KernelStage):
-    """Matching cut parities for the chunk (bucketed or per shot)."""
+    """Matching cut parities for the chunk."""
 
     name = "decode"
 
@@ -321,38 +292,30 @@ class StrikeSampleStage(_KernelStage):
         d, scenario, rng = kernel.distance, kernel.scenario, ctx.rng
         state.regions = [scenario.resolve_regions(d, rng)
                          for _ in range(ctx.shots)]
-        if ctx.packing == "bits":
-            v, h, m = base_noise.sample_batch_packed(ctx.shots,
-                                                     kernel.cycles, rng)
-            overwrite = _overwrite_anomalous_packed
-        else:
-            v, h, m = base_noise.sample_batch(ctx.shots, kernel.cycles, rng)
-            overwrite = _overwrite_anomalous
+        v, h, m = base_noise.sample_batch_packed(ctx.shots, kernel.cycles,
+                                                 rng)
         # Regions differ per shot, so the anomalous overwrite is the one
         # per-shot sampling step (touching only the region's cells).
         p_anos = [event.p_ano for event in scenario.events]
         for s, regs in enumerate(state.regions):
             for region, p_ano in zip(regs, p_anos, strict=True):
-                overwrite(v, h, m, s, region, d, p_ano, rng)
+                _overwrite_anomalous_packed(v, h, m, s, region, d, p_ano,
+                                            rng)
         state.v, state.h, state.m = v, h, m
 
 
 class EndToEndExtractStage(_KernelStage):
-    """Activity stream (+ packed node index / running parities)."""
+    """Activity stream + its node index + running north-cut parities."""
 
     name = "extract"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
         lattice = self.kernel._state[0]
-        v, h, m = state.v, state.h, state.m
-        if ctx.packing == "bits":
-            activity = lattice.per_cycle_activity_packed(v, h, m)
-            state.activity = activity
-            state.coords, state.vals, state.bounds = \
-                lattice.packed_active_nodes(activity)
-            state.north_prefix = lattice.north_cut_prefix_packed(v)
-        else:
-            state.activity = lattice.per_cycle_activity(v, h, m)
+        state.activity = lattice.per_cycle_activity_packed(
+            state.v, state.h, state.m)
+        state.coords, state.vals, state.bounds = \
+            lattice.packed_active_nodes(state.activity)
+        state.north_prefix = lattice.north_cut_prefix_packed(state.v)
 
 
 class EndToEndDetectStage(_KernelStage):
@@ -360,8 +323,8 @@ class EndToEndDetectStage(_KernelStage):
 
     The scan decides each shot's stop cycle, so the decode inputs (the
     active nodes and error parity of the *truncated* run) are produced
-    here rather than at extract time.  Packed runs never re-extract:
-    the truncated difference lattice is the first ``stop`` activity
+    here rather than at extract time.  Nothing is re-extracted: the
+    truncated difference lattice is the first ``stop`` activity
     layers plus a final layer that is exactly ``m[stop - 1]``, and the
     truncated error parity is one bit of the running north-cut parity.
     """
@@ -374,28 +337,15 @@ class EndToEndDetectStage(_KernelStage):
         detections: list = []
         nodes_list: list = []
         parities = np.empty(ctx.shots, dtype=np.int64)
-        if ctx.packing == "bits":
-            if kernel.decode == "batched":
-                scans = kernel._detect_all(
-                    bitops.unpack_shots(state.activity, ctx.shots))
-            else:
-                scans = [kernel._detect(bitops.lane(state.activity, s))
-                         for s in range(ctx.shots)]
-            for s, (stop, estimated, latency) in enumerate(scans):
-                nodes_list.append(kernel._shot_nodes_truncated(
-                    lattice, state.coords, state.vals, state.bounds,
-                    state.m, s, stop))
-                parities[s] = bitops.lane_bit(
-                    state.north_prefix[:, stop - 1], s)
-                detections.append((estimated, latency))
-        else:
-            for s, scan in enumerate(kernel._detect_all(state.activity)):
-                stop, estimated, latency = scan
-                vs = state.v[s, :stop]
-                nodes_list.append(lattice.detection_events(
-                    vs, state.h[s, :stop], state.m[s, :stop]))
-                parities[s] = lattice.error_cut_parity(vs)
-                detections.append((estimated, latency))
+        scans = kernel._detect_all(
+            bitops.unpack_shots(state.activity, ctx.shots))
+        for s, (stop, estimated, latency) in enumerate(scans):
+            nodes_list.append(kernel._shot_nodes_truncated(
+                lattice, state.coords, state.vals, state.bounds,
+                state.m, s, stop))
+            parities[s] = bitops.lane_bit(
+                state.north_prefix[:, stop - 1], s)
+            detections.append((estimated, latency))
         state.nodes_list = nodes_list
         state.parities = parities
         state.detections = detections
@@ -404,14 +354,13 @@ class EndToEndDetectStage(_KernelStage):
 class EndToEndDecodeStage(_KernelStage):
     """Score the chunk's three strategies into the outcome rows.
 
-    ``decode="batched"``: one region-bucketed engine call decodes the
-    whole chunk per strategy — naive shares one model, oracle folds
-    each shot's true strike boxes into the bucket tensors, and detected
+    Greedy decoding runs one region-bucketed engine call per strategy
+    over the whole chunk — naive shares one model, oracle folds each
+    shot's true strike boxes into the bucket tensors, and detected
     folds each detecting shot's estimate (whose onset varies shot to
-    shot); misses inherit the naive matching.  ``decode="pershot"``
-    keeps the per-shot reference loop, which is also where MWPM decodes
-    and scenarios whose events carry different region weights go (the
-    bucketed engine takes one weight per chunk).
+    shot); misses inherit the naive matching.  MWPM, and scenarios
+    whose events carry different region weights (the bucketed engine
+    takes one weight per chunk), score shot by shot instead.
     """
 
     name = "decode"
@@ -423,8 +372,7 @@ class EndToEndDecodeStage(_KernelStage):
         out = np.empty((shots, 4), dtype=np.int64)
         w_anos = kernel._state[4]
         w_ano = w_anos[0]
-        if (kernel.decode == "batched" and kernel.decoder == "greedy"
-                and all(w == w_ano for w in w_anos)):
+        if kernel.decoder == "greedy" and all(w == w_ano for w in w_anos):
             err = state.parities.astype(np.int8)
             oracle = batched_region_cut_parities(
                 kernel.distance, state.regions, state.nodes_list, w_ano,
@@ -460,18 +408,13 @@ class EndToEndAccumulateStage(_KernelStage):
 
 
 class DetectionExtractStage(_KernelStage):
-    """Error arrays → the per-cycle node-activity stream."""
+    """Error words → the packed per-cycle node-activity stream."""
 
     name = "extract"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
-        lattice = self.kernel._state[0]
-        if ctx.packing == "bits":
-            state.activity = lattice.per_cycle_activity_packed(
-                state.v, state.h, state.m)
-        else:
-            state.activity = lattice.per_cycle_activity(
-                state.v, state.h, state.m)
+        state.activity = self.kernel._state[0].per_cycle_activity_packed(
+            state.v, state.h, state.m)
 
 
 class DetectionScoreStage(_KernelStage):
@@ -486,18 +429,5 @@ class DetectionScoreStage(_KernelStage):
     name = "detect"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
-        kernel = self.kernel
-        if ctx.packing == "bits":
-            if kernel.scan == "batched":
-                state.outcomes = kernel._score_all(
-                    bitops.unpack_shots(state.activity, ctx.shots),
-                    state.regions)
-            else:
-                out = np.empty((ctx.shots, 4), dtype=np.float64)
-                for s in range(ctx.shots):
-                    out[s] = kernel._score_trial(
-                        bitops.lane(state.activity, s), state.regions[s])
-                state.outcomes = out
-        else:
-            state.outcomes = kernel._score_all(state.activity,
-                                               state.regions)
+        state.outcomes = self.kernel._score_all(
+            bitops.unpack_shots(state.activity, ctx.shots), state.regions)

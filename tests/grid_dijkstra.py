@@ -6,8 +6,8 @@ pair -- the trick that keeps the paper's greedy decoder constant-time
 per path query (Fig. 6c).  This module provides the ground truth it
 approximates: a Dijkstra search over the explicit 3-D grid with
 per-edge weights (1 for normal edges, ``w_ano`` inside the anomalous
-region).  It is used by tests to certify the approximation and is exact
-for any ``w_ano``, at grid-search cost.
+region).  ``tests/test_dijkstra.py`` certifies the approximation
+against it; it is exact for any ``w_ano``, at grid-search cost.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ equivalence suite scores the batched engines against.  They are test
 fixtures: slow, rng-streamed shot by shot, and deliberately untouched by
 campaign features.
 
+:func:`reference_chunk` is the same kind of reference one level down:
+the float, per-shot path the shot kernels' ``packing="none"`` and
+``decode``/``scan="pershot"`` knobs used to select, recomputing any one
+chunk from the same draws.
+
 The Fig. 10 scheduler's object-per-block plane, tuple-grid BFS router
 and slot loop live at the end of the module in the same role, for
 ``tests/test_scheduler_equivalence.py``.
@@ -30,15 +35,94 @@ from repro.arch.scheduler import CommittedOp
 from repro.arch.throughput import ThroughputResult
 from repro.core.anomaly import AnomalyDetectionUnit
 from repro.decoding.graph import SyndromeLattice
-from repro.decoding.greedy import GreedyDecoder
+from repro.decoding.greedy import GreedyDecoder, greedy_cut_parity
 from repro.decoding.weights import DistanceModel, relative_anomalous_weight
-from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
+from repro.noise.models import (AnomalousRegion, PhenomenologicalNoise,
+                                build_anomalous_masks)
 from repro.scenarios.model import Scenario
+from repro.sim.batch import (DetectionShotKernel, MemoryShotKernel,
+                             _windowed_over)
 from repro.sim.detection import DetectionPerformance, calibrated_statistics
 from repro.sim.endtoend import (EndToEndExperiment, EndToEndResult,
                                 estimate_strike_region)
 
 
+# ----------------------------------------------------------------------
+# The float, per-shot reference for one chunk of any shot kernel
+# ----------------------------------------------------------------------
+def _overwrite_anomalous(v: np.ndarray, h: np.ndarray, m: np.ndarray,
+                         shot: int, region: AnomalousRegion,
+                         distance: int, p_ano: float,
+                         rng: np.random.Generator) -> None:
+    """Resample one shot's float error arrays at ``p_ano`` in ``region``.
+
+    The float twin of ``repro.sim.stages._overwrite_anomalous_packed``:
+    the same uniforms (same shapes, same order), stored as bools.
+    """
+    masks = build_anomalous_masks(distance, region)
+    cycles = v.shape[1]
+    t_hi = region.t_hi if region.t_hi is not None else cycles
+    t_lo, t_hi = max(0, region.t_lo), min(cycles, t_hi)
+    if t_hi <= t_lo:
+        return
+    span = t_hi - t_lo
+    for arr, mask in zip((v, h, m), masks, strict=True):
+        arr[shot, t_lo:t_hi][:, mask] = (
+            rng.random((span, int(mask.sum()))) < p_ano)
+
+
+def reference_chunk(kernel, shots: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``kernel.run_batch_packed(shots, rng)`` through the reference path.
+
+    The same draws in the same order as the kernel's stages, then float
+    arrays (``sample_batch`` plus :func:`_overwrite_anomalous`),
+    per-shot extraction (``detection_events``), per-shot matching
+    (``greedy_cut_parity`` or MWPM) and per-shot windowed scans
+    (``_windowed_over``) feeding the kernel's own scan tails and scorer.
+    The kernels are certified bit-identical to it per chunk.
+    """
+    kernel.prepare()
+    if isinstance(kernel, MemoryShotKernel):
+        noise, lattice, model, mwpm = kernel._state
+        v, h, m = noise.sample_batch(shots, kernel.cycles, rng)
+        out = lattice.error_cut_parity(v).astype(np.int8)
+        for s in range(shots):
+            nodes = lattice.detection_events(v[s], h[s], m[s])
+            if mwpm is None:
+                out[s] ^= greedy_cut_parity(model, nodes)
+            elif len(nodes):
+                out[s] ^= mwpm.decode(nodes).correction_cut_parity
+        return out
+    lattice, v_th, base_noise = kernel._state[:3]
+    d, scenario = kernel.distance, kernel.scenario
+    regions = [scenario.resolve_regions(d, rng) for _ in range(shots)]
+    v, h, m = base_noise.sample_batch(shots, kernel.cycles, rng)
+    for s, regs in enumerate(regions):
+        for region, event in zip(regs, scenario.events, strict=True):
+            _overwrite_anomalous(v, h, m, s, region, d, event.p_ano, rng)
+    activity = lattice.per_cycle_activity(v, h, m)
+    detection = isinstance(kernel, DetectionShotKernel)
+    out = np.empty((shots, 4), dtype=np.float64 if detection else np.int64)
+    for s in range(shots):
+        over, n_over = _windowed_over(activity[s], kernel.c_win, v_th)
+        if detection:
+            out[s] = kernel._score_scan(over, n_over, regions[s])
+            continue
+        stop, estimated, latency = kernel._detect_scan(over, n_over)
+        nodes = lattice.detection_events(v[s, :stop], h[s, :stop],
+                                         m[s, :stop])
+        naive = kernel._matching_parity(kernel._state[3], nodes)
+        out[s, :3] = kernel._score(
+            nodes, lattice.error_cut_parity(v[s, :stop]), naive,
+            regions[s], estimated)
+        out[s, 3] = latency
+    return out
+
+
+# ----------------------------------------------------------------------
+# The retired per-cycle loops
+# ----------------------------------------------------------------------
 def stream_activity(
     distance: int,
     p: float,

@@ -19,12 +19,14 @@ from repro.sim.batch import (
     DetectionShotKernel,
     EndToEndShotKernel,
     MemoryShotKernel,
+    chunk_plan,
 )
 from repro.sim.detection import run_detection_trials
 from repro.sim.endtoend import EndToEndExperiment
 from repro.sim.memory import MemoryExperiment
+from repro.sim.stages import _overwrite_anomalous_packed
 
-from reference_engines import (reference_detection_trials,
+from reference_engines import (reference_chunk, reference_detection_trials,
                                reference_endtoend_run)
 
 
@@ -52,17 +54,6 @@ class TestBatchedPrimitives:
         assert np.array_equal(v1, vb[0])
         assert np.array_equal(h1, hb[0])
         assert np.array_equal(m1, mb[0])
-
-    def test_detection_events_batch_matches_per_shot(self, rng):
-        noise = PhenomenologicalNoise(
-            7, 0.03, Scenario.from_region(AnomalousRegion.centered(7, 2)))
-        lattice = SyndromeLattice(7)
-        v, h, m = noise.sample_batch(9, 7, rng)
-        batched = lattice.detection_events_batch(v, h, m)
-        assert len(batched) == 9
-        for s in range(9):
-            single = lattice.detection_events(v[s], h[s], m[s])
-            assert np.array_equal(batched[s], single)
 
     def test_error_cut_parity_batched(self, rng):
         v = rng.random((6, 4, 5, 5)) < 0.2
@@ -146,17 +137,18 @@ class TestFastGreedyEquivalence:
                 == greedy_decode_fast(model, nodes).matches)
 
     def test_overwrite_anomalous_honors_time_bounds(self):
-        from repro.sim.batch import _overwrite_anomalous
         region = AnomalousRegion(1, 1, 2, t_lo=2, t_hi=4)
-        v = np.zeros((1, 8, 5, 5), dtype=bool)
-        h = np.zeros((1, 8, 4, 4), dtype=bool)
-        m = np.zeros((1, 8, 4, 5), dtype=bool)
-        _overwrite_anomalous(v, h, m, 0, region, 5, 1.0,
-                             np.random.default_rng(0))
+        v = np.zeros((1, 8, 5, 5), dtype=np.uint64)
+        h = np.zeros((1, 8, 4, 4), dtype=np.uint64)
+        m = np.zeros((1, 8, 4, 5), dtype=np.uint64)
+        _overwrite_anomalous_packed(v, h, m, 3, region, 5, 1.0,
+                                    np.random.default_rng(0))
         assert v[0, 2:4].any() and m[0, 2:4].any()
         for arr in (v, h, m):
             assert not arr[0, :2].any()
             assert not arr[0, 4:].any()
+            # Only shot 3's lane is written.
+            assert not (arr & ~np.uint64(1 << 3)).any()
 
 
 class TestBitops:
@@ -176,13 +168,6 @@ class TestBitops:
         assert words.dtype == np.uint64
         assert words.shape == (bitops.word_count(shots), 3, 4, 5)
         assert np.array_equal(bitops.unpack_shots(words, shots), bits)
-
-    def test_lane_extracts_one_shot(self, rng):
-        bits = rng.random((130, 6, 2, 3)) < 0.4
-        words = bitops.pack_shots(bits)
-        for s in (0, 63, 64, 129):
-            assert np.array_equal(bitops.lane(words, s),
-                                  bits[s].astype(np.uint8))
 
     def test_tail_lanes_zero_filled(self):
         words = bitops.pack_shots(np.ones((70, 2), dtype=bool))
@@ -271,11 +256,11 @@ class TestPackedExtraction:
         (v, h, m), (vw, hw, mw) = self._arrays(
             distance, shots, 6, 3, AnomalousRegion(0, 0, 2, t_lo=2))
         lattice = SyndromeLattice(distance)
-        ref = lattice.detection_events_batch(v, h, m)
         coords, vals, bounds = lattice.detection_events_packed(vw, hw, mw)
         for s in range(shots):
             assert np.array_equal(
-                lattice.shot_nodes(coords, vals, bounds, s), ref[s]), s
+                lattice.shot_nodes(coords, vals, bounds, s),
+                lattice.detection_events(v[s], h[s], m[s])), s
 
     def test_cut_parities(self):
         shots = 130
@@ -292,8 +277,9 @@ class TestPackedExtraction:
 
 
 class TestPackedKernelEquivalence:
-    """The packed backend is bit-identical to the float reference for
-    the same seed — the certification seam of the whole engine."""
+    """The packed kernels are bit-identical to the float, per-shot
+    reference (``reference_chunk``) for the same seed — the
+    certification seam of the whole engine."""
 
     REGIONS = [None,
                AnomalousRegion(0, 0, 2, t_lo=1, t_hi=3),
@@ -305,16 +291,14 @@ class TestPackedKernelEquivalence:
         for region in self.REGIONS:
             kernel = MemoryShotKernel(distance, 0.04,
                                       Scenario.from_region(region))
-            kernel.prepare()
-            ref = kernel.run_batch(shots, np.random.default_rng(7))
+            ref = reference_chunk(kernel, shots, np.random.default_rng(7))
             packed = kernel.run_batch_packed(shots,
                                              np.random.default_rng(7))
             assert np.array_equal(ref, packed), (shots, distance, region)
 
     def test_memory_kernel_mwpm(self):
         kernel = MemoryShotKernel(5, 0.03, decoder="mwpm")
-        kernel.prepare()
-        ref = kernel.run_batch(70, np.random.default_rng(5))
+        ref = reference_chunk(kernel, 70, np.random.default_rng(5))
         packed = kernel.run_batch_packed(70, np.random.default_rng(5))
         assert np.array_equal(ref, packed)
 
@@ -324,8 +308,7 @@ class TestPackedKernelEquivalence:
         kernel = EndToEndShotKernel(distance, 0.01,
                                     Scenario(events=(strike,)), cycles=70,
                                     c_win=25, n_th=3, alpha=0.01)
-        kernel.prepare()
-        ref = kernel.run_batch(37, np.random.default_rng(3))
+        ref = reference_chunk(kernel, 37, np.random.default_rng(3))
         packed = kernel.run_batch_packed(37, np.random.default_rng(3))
         assert np.array_equal(ref, packed)
 
@@ -335,44 +318,25 @@ class TestPackedKernelEquivalence:
         kernel = DetectionShotKernel(distance, 2e-3,
                                      Scenario(events=(strike,)), c_win=40,
                                      n_th=3, alpha=0.01, post_cycles=160)
-        kernel.prepare()
-        ref = kernel.run_batch(17, np.random.default_rng(5))
+        ref = reference_chunk(kernel, 17, np.random.default_rng(5))
         packed = kernel.run_batch_packed(17, np.random.default_rng(5))
         assert np.array_equal(ref, packed, equal_nan=True)
 
     def test_runner_packing_knob(self, run_with_outcomes):
-        def spec(packing):
-            return campaigns.MemorySpec(
-                distance=5, p=0.03, samples=300, seed=11,
-                batch_size=MemoryShotKernel.default_batch_size,
-                packing=packing)
-        _, a = run_with_outcomes(spec("none"), campaigns.InlineExecutor())
-        _, b = run_with_outcomes(spec("bits"), campaigns.InlineExecutor())
-        assert np.array_equal(a, b)
-        with pytest.raises(ValueError):
-            spec("words")
-
-    def test_experiment_entry_points_accept_packing(self):
-        exp = MemoryExperiment(5, 0.02)
-        bits = exp.run(200, workers=1, seed=9, packing="bits")
-        none = exp.run(200, workers=1, seed=9, packing="none")
-        assert bits.failures == none.failures
-        perf_b = run_detection_trials(5, 2e-3, 0.05, anomaly_size=2,
-                                      c_win=40, n_th=3, trials=5, seed=2,
-                                      workers=1, packing="bits")
-        perf_n = run_detection_trials(5, 2e-3, 0.05, anomaly_size=2,
-                                      c_win=40, n_th=3, trials=5, seed=2,
-                                      workers=1, packing="none")
-        assert perf_b.false_positives == perf_n.false_positives
-        assert perf_b.detections == perf_n.detections
-        assert np.isclose(perf_b.mean_latency, perf_n.mean_latency,
-                          equal_nan=True)
-        assert np.isclose(perf_b.mean_position_error,
-                          perf_n.mean_position_error, equal_nan=True)
+        """The runner hands its kernel ``packing="bits"``, the only word
+        layout; its campaign equals the reference chunk by chunk."""
+        batch = MemoryShotKernel.default_batch_size
+        spec = campaigns.MemorySpec(distance=5, p=0.03, samples=300,
+                                    seed=11, batch_size=batch)
+        _, got = run_with_outcomes(spec, campaigns.InlineExecutor())
+        kernel = MemoryShotKernel(5, 0.03)
+        ref = [reference_chunk(kernel, size, np.random.default_rng(child))
+               for size, child in chunk_plan(300, batch, 11)]
+        assert np.array_equal(got, np.concatenate(ref))
 
     def test_pool_runs_packed(self, run_with_outcomes):
         spec = campaigns.MemorySpec(distance=5, p=0.03, samples=150,
-                                    seed=5, batch_size=50, packing="bits")
+                                    seed=5, batch_size=50)
         _, solo = run_with_outcomes(spec, campaigns.InlineExecutor())
         _, pooled = run_with_outcomes(spec,
                                       campaigns.ProcessPoolExecutor(2))

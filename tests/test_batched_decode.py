@@ -4,8 +4,8 @@ The contract: :func:`batched_cut_parities` / :func:`batched_decode` are
 *bit-identical* to the per-shot ``greedy_cut_parity`` /
 ``greedy_decode_fast`` on every input (inputs outside the integer
 engine's envelope run through the per-shot core, so the equality is
-unconditional), and the kernels' ``decode="batched"`` campaigns equal
-their ``decode="pershot"`` runs shot for shot.
+unconditional), and the kernels' campaigns equal the float, per-shot
+reference (``reference_engines.reference_chunk``) shot for shot.
 """
 
 import subprocess
@@ -29,7 +29,9 @@ from repro.decoding.batched import batched_region_cut_parities
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import backend, bitops
-from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel
+from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel, chunk_plan
+
+from reference_engines import reference_chunk
 
 
 def _random_nodes(rng, d, n):
@@ -149,7 +151,8 @@ class TestBatchedEquivalence:
         noise = PhenomenologicalNoise(d, 2.5e-2, Scenario.from_region(region))
         lattice = SyndromeLattice(d)
         v, h, m = noise.sample_batch(70, d, np.random.default_rng(5))
-        nodes_list = lattice.detection_events_batch(v, h, m)
+        nodes_list = [lattice.detection_events(v[s], h[s], m[s])
+                      for s in range(70)]
         for model in (DistanceModel(d), DistanceModel(d, region, 0.0)):
             ref = np.array([greedy_cut_parity(model, x)
                             for x in nodes_list], dtype=np.int8)
@@ -162,7 +165,8 @@ def _fig8_chunk(d, p, shots, seed, region=None):
     noise, with an optional p_ano = 0.5 box, in lattice node order."""
     noise = PhenomenologicalNoise(d, p, Scenario.from_region(region))
     v, h, m = noise.sample_batch(shots, d, np.random.default_rng(seed))
-    return SyndromeLattice(d).detection_events_batch(v, h, m)
+    lattice = SyndromeLattice(d)
+    return [lattice.detection_events(v[s], h[s], m[s]) for s in range(shots)]
 
 
 def _assert_parities(model, nodes_list, arena=None):
@@ -362,7 +366,7 @@ class TestBulkShotNodes:
 
 
 class TestKernelDecodeModes:
-    """decode="batched" campaigns equal decode="pershot" bit for bit."""
+    """Batched-decode kernels equal the per-shot reference bit for bit."""
 
     REGIONS = [None, AnomalousRegion(0, 0, 2, t_lo=1, t_hi=3),
                AnomalousRegion(1, 1, 2, t_lo=2)]
@@ -371,59 +375,45 @@ class TestKernelDecodeModes:
     def test_memory_kernel_modes(self, shots):
         for region in self.REGIONS:
             for informed in (False, True):
-                outs = {}
-                for mode in ("pershot", "batched"):
-                    kernel = MemoryShotKernel(5, 0.04,
-                                              Scenario.from_region(region),
-                                              informed=informed,
-                                              decode=mode)
-                    kernel.prepare()
-                    outs[mode] = kernel.run_batch_packed(
-                        shots, np.random.default_rng(7))
-                assert np.array_equal(outs["pershot"], outs["batched"]), \
-                    (shots, region, informed)
+                kernel = MemoryShotKernel(5, 0.04,
+                                          Scenario.from_region(region),
+                                          informed=informed)
+                ref = reference_chunk(kernel, shots,
+                                      np.random.default_rng(7))
+                got = kernel.run_batch_packed(shots,
+                                              np.random.default_rng(7))
+                assert np.array_equal(ref, got), (shots, region, informed)
 
     def test_memory_kernel_float_path_matches(self):
         kernel = MemoryShotKernel(
             5, 0.04, Scenario.from_region(AnomalousRegion.centered(5, 2)),
             informed=True)
-        kernel.prepare()
-        a = kernel.run_batch(70, np.random.default_rng(3))
+        a = reference_chunk(kernel, 70, np.random.default_rng(3))
         b = kernel.run_batch_packed(70, np.random.default_rng(3))
         assert np.array_equal(a, b)
 
-    def test_rejects_unknown_decode_mode(self):
-        with pytest.raises(ValueError):
-            MemoryShotKernel(5, 0.04, decode="magic")
-        with pytest.raises(ValueError):
-            EndToEndShotKernel(
-                5, 0.01, Scenario(events=(StrikeEvent(onset=10, size=2),)),
-                cycles=30, c_win=10, n_th=3, alpha=0.01, decode="magic")
-
     @pytest.mark.parametrize("distance", [3, 5])
     def test_endtoend_kernel_modes(self, distance):
-        outs = {}
-        for mode in ("pershot", "batched"):
-            kernel = EndToEndShotKernel(
-                distance, 0.01,
-                Scenario(events=(StrikeEvent(onset=30, size=2),)),
-                cycles=70, c_win=25, n_th=3, alpha=0.01, decode=mode)
-            kernel.prepare()
-            outs[mode] = kernel.run_batch_packed(
-                37, np.random.default_rng(3))
-        assert np.array_equal(outs["pershot"], outs["batched"])
+        kernel = EndToEndShotKernel(
+            distance, 0.01,
+            Scenario(events=(StrikeEvent(onset=30, size=2),)),
+            cycles=70, c_win=25, n_th=3, alpha=0.01)
+        ref = reference_chunk(kernel, 37, np.random.default_rng(3))
+        got = kernel.run_batch_packed(37, np.random.default_rng(3))
+        assert np.array_equal(ref, got)
 
     def test_runner_campaign_bit_equal_across_modes(self,
                                                     run_with_outcomes):
-        fails = {}
-        for mode in ("pershot", "batched"):
-            spec = campaigns.MemorySpec(
-                distance=7, p=2.5e-2, samples=200, region="centered",
-                anomaly_size=3, informed=True, decode=mode, seed=19,
-                batch_size=48, packing="bits")
-            _, fails[mode] = run_with_outcomes(spec,
-                                               campaigns.InlineExecutor())
-        assert np.array_equal(fails["pershot"], fails["batched"])
+        spec = campaigns.MemorySpec(
+            distance=7, p=2.5e-2, samples=200, region="centered",
+            anomaly_size=3, informed=True, seed=19, batch_size=48)
+        _, got = run_with_outcomes(spec, campaigns.InlineExecutor())
+        kernel = MemoryShotKernel(
+            7, 2.5e-2, Scenario.from_region(AnomalousRegion.centered(7, 3)),
+            informed=True)
+        ref = [reference_chunk(kernel, size, np.random.default_rng(child))
+               for size, child in chunk_plan(200, 48, 19)]
+        assert np.array_equal(got, np.concatenate(ref))
 
 
 class TestBackendSeam:

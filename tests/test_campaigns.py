@@ -37,8 +37,8 @@ class TestSpecValidation:
         dict(distance=5, p=1.5, samples=10),
         dict(distance=5, p=1e-2, samples=0),
         dict(distance=5, p=1e-2, samples=10, decoder="tensor-network"),
-        dict(distance=5, p=1e-2, samples=10, packing="words"),
-        dict(distance=5, p=1e-2, samples=10, decode="quantum"),
+        dict(distance=5, p=1e-2, samples=10, p_ano=1.5),
+        dict(distance=5, p=1e-2, samples=10, cycles=0),
         dict(distance=5, p=1e-2, samples=10, seed=-1),
         dict(distance=5, p=1e-2, samples=10, seed=2 ** 63),
         dict(distance=5, p=1e-2, samples=10, batch_size=0),
@@ -65,7 +65,7 @@ class TestSpecValidation:
         dict(distance=5, p=1e-3, p_ano=0.05, anomaly_size=2, c_win=40,
              normal_cycles=0),
         dict(distance=5, p=1e-3, p_ano=0.05, anomaly_size=2, c_win=40,
-             scan="windowed"),
+             post_cycles=0),
     ])
     def test_detection_spec_rejects(self, kwargs):
         with pytest.raises(campaigns.SpecError):
@@ -102,8 +102,7 @@ def _example_specs():
         campaigns.MemorySpec(distance=9, p=6e-3, samples=50,
                              region="centered", anomaly_size=4,
                              informed=True, seed=7, batch_size=16,
-                             target_rel_width=0.25, packing="none",
-                             decode="pershot"),
+                             target_rel_width=0.25),
         campaigns.MemorySpec(
             distance=5, p=2e-2, samples=10,
             region=AnomalousRegion(1, 2, 2, t_lo=3, t_hi=9)),
@@ -167,7 +166,6 @@ class TestSpecJson:
            seed=st.integers(0, 2 ** 63 - 1),
            informed=st.booleans(),
            decoder=st.sampled_from(["greedy", "mwpm"]),
-           packing=st.sampled_from(["bits", "none"]),
            batch_size=st.one_of(st.none(), st.integers(1, 4096)),
            region=st.one_of(
                st.none(), st.just("centered"),
@@ -182,11 +180,149 @@ class TestSpecJson:
         assert again == spec
         assert campaigns.spec_hash(again) == campaigns.spec_hash(spec)
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("memory", "packing", "words"),
+        ("memory", "packing", "none"),
+        ("memory", "decode", "quantum"),
+        ("endtoend", "decode", "pershot"),
+        ("scenario", "decode", "pershot"),
+        ("detection", "scan", "windowed"),
+        ("detection", "packing", None),
+    ])
+    def test_retired_field_rejects_other_values(self, kind, field, value):
+        """The retired engine knobs parse only at the one value saved
+        documents hold; anything else names the field."""
+        doc = campaigns.spec_to_dict(_retired_example(kind))
+        doc[field] = value
+        with pytest.raises(campaigns.SpecError, match=field):
+            campaigns.spec_from_dict(doc)
+
+    @pytest.mark.parametrize("kind", ["memory", "endtoend", "detection",
+                                      "scenario"])
+    def test_retired_fields_at_saved_value_are_dropped(self, kind):
+        spec = _retired_example(kind)
+        doc = campaigns.spec_to_dict(spec)
+        doc["packing"] = "bits"
+        doc["scan" if kind == "detection" else "decode"] = "batched"
+        again = campaigns.spec_from_dict(doc)
+        assert again == spec
+        assert campaigns.spec_hash(again) == campaigns.spec_hash(spec)
+
+    def test_old_default_serialized_document_parses_to_new_hash(self):
+        """A document saved before the knobs were retired carries their
+        defaults; it parses to today's spec, whose hash moved."""
+        old = ('{"anomaly_size": 4, "batch_size": null, "cycles": null, '
+               '"decode": "batched", "decoder": "greedy", "distance": 5, '
+               '"informed": false, "kind": "memory", "p": 0.01, '
+               '"p_ano": 0.5, "packing": "bits", "region": null, '
+               '"samples": 10, "seed": 0, "target_rel_width": null}')
+        spec = campaigns.spec_from_json(old)
+        assert spec == campaigns.MemorySpec(5, 0.01, 10)
+        assert campaigns.spec_hash(spec) == "8419d757df4faada"
+        assert "packing" not in campaigns.spec_to_dict(spec)
+
+    def test_retired_fields_unknown_on_other_kinds(self):
+        doc = campaigns.spec_to_dict(campaigns.StreamingSpec(5, 0.01))
+        doc["packing"] = "bits"
+        with pytest.raises(campaigns.SpecError, match="no field"):
+            campaigns.spec_from_dict(doc)
+
     def test_hash_distinguishes_specs(self):
         a = campaigns.MemorySpec(distance=5, p=1e-2, samples=10)
         b = dataclasses.replace(a, seed=1)
         c = dataclasses.replace(a, batch_size=32)
         assert len({campaigns.spec_hash(s) for s in (a, b, c)}) == 3
+
+
+def _retired_example(kind: str):
+    """One spec of each kind that used to carry engine knobs."""
+    if kind == "scenario":
+        return campaigns.ScenarioSpec(5, 0.01, 8)
+    return next(s for s in _example_specs() if s.kind == kind)
+
+
+# ----------------------------------------------------------------------
+# Wire documents with mistyped values
+# ----------------------------------------------------------------------
+_MEMORY = {"kind": "memory", "distance": 5, "p": 0.01, "samples": 10}
+
+
+class TestWireTypes:
+    @pytest.mark.parametrize("doc", [
+        {"kind": ["memory"]},
+        {"kind": {"memory": 1}},
+        {**_MEMORY, "distance": 5.5},
+        {**_MEMORY, "samples": 10.5},
+        {**_MEMORY, "seed": True},
+        {**_MEMORY, "informed": "false"},
+        {**_MEMORY, "p": "0.01"},
+        {**_MEMORY, "p": True},
+        {**_MEMORY, "p": float("inf")},
+        {**_MEMORY, "decoder": ["greedy"]},
+        {**_MEMORY, "batch_size": 1.5},
+        {**_MEMORY, "region": {"row_lo": 1.5, "col_lo": 1, "size": 2}},
+        {"kind": "scaling", "areas": [1.0, True]},
+        {"kind": "scaling", "areas": 4.0},
+        {"kind": "sweep", "base": _MEMORY, "axes": {"p": 5}},
+        {"kind": "sweep", "base": _MEMORY, "axes": {"decoder": "mwpm"}},
+        {"kind": "sweep", "base": _MEMORY, "axes": {"distance": [5, 7.5]}},
+        {"kind": "sweep", "base": _MEMORY, "axes": {"region": 3}},
+        {"kind": "sweep", "base": _MEMORY, "derive_seeds": "false"},
+        {"kind": "sweep", "base": {"kind": "sweep", "base": _MEMORY},
+         "axes": {"p": [0.1]}},
+    ], ids=repr)
+    def test_mistyped_values_rejected(self, doc):
+        with pytest.raises(campaigns.SpecError):
+            campaigns.spec_from_dict(doc)
+
+    def test_integral_numbers_read_as_ints(self):
+        spec = campaigns.spec_from_dict({**_MEMORY, "distance": 5.0,
+                                         "batch_size": 8.0})
+        assert spec == campaigns.MemorySpec(5, 0.01, 10, batch_size=8)
+        assert type(spec.distance) is int
+        assert campaigns.spec_hash(spec) == campaigns.spec_hash(
+            campaigns.spec_from_dict({**_MEMORY, "batch_size": 8}))
+
+    def test_nulls_only_where_the_field_is_optional(self):
+        assert campaigns.spec_from_dict(
+            {**_MEMORY, "cycles": None}).cycles is None
+        with pytest.raises(campaigns.SpecError):
+            campaigns.spec_from_dict({**_MEMORY, "seed": None})
+
+    def test_in_process_numpy_scalars_still_accepted(self):
+        spec = campaigns.MemorySpec(np.int64(5), np.float64(0.01),
+                                    np.int64(10))
+        assert spec.distance == 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), value=st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=True, allow_infinity=True) | st.text(),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+        max_leaves=6))
+    def test_random_values_raise_only_spec_error(self, data, value):
+        """Any JSON value in any field of a valid document (or of its
+        region or sweep base) parses to a spec that serializes, or
+        raises ``SpecError`` — never anything else."""
+        specs = _example_specs() + [
+            campaigns.ScenarioSpec(5, 0.01, 8),
+            campaigns.StreamingSpec(5, 0.01),
+            campaigns.Sweep(campaigns.MemorySpec(5, 0.01, 10),
+                            axes={"p": [0.01, 0.02]})]
+        doc = campaigns.spec_to_dict(data.draw(st.sampled_from(specs)))
+        target = doc
+        nested = [k for k in ("region", "base")
+                  if isinstance(doc.get(k), dict)]
+        if nested and data.draw(st.booleans()):
+            target = doc[data.draw(st.sampled_from(nested))]
+        target[data.draw(st.sampled_from(sorted(target)))] = value
+        try:
+            spec = campaigns.spec_from_dict(doc)
+        except campaigns.SpecError:
+            return
+        again = campaigns.spec_from_json(campaigns.spec_to_json(spec))
+        assert campaigns.spec_hash(again) == campaigns.spec_hash(spec)
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +573,7 @@ class TestResults:
         assert prov.seed == 4
         assert prov.backend == "numpy"
         assert prov.executor == "inline"
-        assert prov.packing == "bits"
+        assert "packing" not in prov.to_dict()
         assert prov.batch_size == 16
         assert prov.chunks == 3
         assert prov.resumed_chunks == 0

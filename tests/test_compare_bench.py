@@ -113,6 +113,19 @@ class TestCompare:
         regs, _, _ = cb.compare(fresh, base)
         assert len(regs) == 1 and "flipped" in regs[0]
 
+    def test_missing_certification_flag_is_fatal(self, cb):
+        """A section the fresh run produced must still carry every
+        certificate the baseline recorded; other missing leaves (and
+        whole missing sections) stay notes."""
+        base = _doc(scenario_equivalence={"memory_bits_bit_equal": True,
+                                          "memory_none_bit_equal": True,
+                                          "samples": 200})
+        fresh = _doc(scenario_equivalence={"memory_bits_bit_equal": True})
+        regs, _, notes = cb.compare(fresh, base)
+        assert len(regs) == 1
+        assert "memory_none_bit_equal" in regs[0] and "missing" in regs[0]
+        assert any("samples missing from fresh" in n for n in notes)
+
     def test_domain_drift_is_informational(self, cb):
         base = _doc(fig08={"per_cycle_rates": {"d9": 1e-3}})
         fresh = _doc(fig08={"per_cycle_rates": {"d9": 5e-3}})

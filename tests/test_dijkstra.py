@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.decoding.dijkstra import GridDijkstra
+from grid_dijkstra import GridDijkstra
 from repro.decoding.weights import DistanceModel
 from repro.noise import AnomalousRegion
 

@@ -5,8 +5,8 @@ regions into its bucket tensors, the end-to-end and detection kernels
 decode whole chunks through it, and the sequential ``workers=0``
 experiment branches are retired onto the batched kernels.  Everything
 here certifies bit-equality against the per-shot references
-(``greedy_cut_parity``, ``decode="pershot"``, and the retired per-cycle
-loops now housed in ``tests/reference_engines.py``).
+(``greedy_cut_parity``, ``reference_chunk`` and the retired per-cycle
+loops, all housed in ``tests/reference_engines.py``).
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ from repro.scenarios import Scenario, StrikeEvent
 from repro.sim.batch import DetectionShotKernel, EndToEndShotKernel
 from repro.sim.endtoend import estimate_strike_region
 
-from reference_engines import (reference_detection_trials,
+from reference_engines import (reference_chunk, reference_detection_trials,
                                reference_endtoend_run)
 from repro.sim.detection import run_detection_trials
 from repro.sim.endtoend import EndToEndExperiment
@@ -75,9 +75,9 @@ def _struck_shots(rng, d, p, shots, cycles):
                 else onset + int(rng.integers(1, d + 1)))
         strike = AnomalousRegion.random(d, 4, rng, t_lo=onset, t_hi=t_hi)
         noise = PhenomenologicalNoise(d, p, Scenario.from_region(strike))
-        v, h, m = noise.sample_batch(1, cycles, rng)
+        v, h, m = noise.sample(cycles, rng)
         strikes.append(strike)
-        nodes_list.append(lattice.detection_events_batch(v, h, m)[0])
+        nodes_list.append(lattice.detection_events(v, h, m))
     return strikes, nodes_list
 
 
@@ -223,7 +223,7 @@ class TestBatchedRegionCutParities:
 
 
 class TestEndToEndKernelDecodeModes:
-    """decode="batched" == decode="pershot", float and packed, over the
+    """The region-bucketed kernel == the per-shot reference, over the
     (d, p_ano, anomaly_size, onset) grid — including no-detection shots
     and chunks whose estimates differ shot to shot."""
 
@@ -232,68 +232,51 @@ class TestEndToEndKernelDecodeModes:
 
     @pytest.mark.parametrize("d,p_ano,anomaly_size,onset", GRID)
     def test_modes_bit_equal(self, d, p_ano, anomaly_size, onset):
-        outs = {}
-        for mode in ("pershot", "batched"):
-            strike = StrikeEvent(onset=onset, size=anomaly_size,
-                                 p_ano=p_ano)
-            kernel = EndToEndShotKernel(
-                d, 0.01, Scenario(events=(strike,)), cycles=onset + 40,
-                c_win=20, n_th=3, alpha=0.01, decode=mode)
-            kernel.prepare()
-            ref = kernel.run_batch(41, np.random.default_rng(7))
-            packed = kernel.run_batch_packed(41, np.random.default_rng(7))
-            assert np.array_equal(ref, packed), (mode, "packed != float")
-            outs[mode] = ref
-        assert np.array_equal(outs["pershot"], outs["batched"])
+        strike = StrikeEvent(onset=onset, size=anomaly_size, p_ano=p_ano)
+        kernel = EndToEndShotKernel(
+            d, 0.01, Scenario(events=(strike,)), cycles=onset + 40,
+            c_win=20, n_th=3, alpha=0.01)
+        ref = reference_chunk(kernel, 41, np.random.default_rng(7))
+        packed = kernel.run_batch_packed(41, np.random.default_rng(7))
+        assert np.array_equal(ref, packed)
 
     def test_missed_detections_inherit_naive(self):
         """An impossible threshold forces misses on every shot: the
         detected column must equal the naive column bit for bit."""
-        outs = {}
-        for mode in ("pershot", "batched"):
-            kernel = EndToEndShotKernel(
-                5, 0.005, Scenario(events=(StrikeEvent(onset=30, size=1),)),
-                cycles=60, c_win=20, n_th=10 ** 6, alpha=0.01, decode=mode)
-            kernel.prepare()
-            outs[mode] = kernel.run_batch(23, np.random.default_rng(11))
-        assert np.array_equal(outs["pershot"], outs["batched"])
-        assert (outs["batched"][:, 3] == -1).all()
-        assert np.array_equal(outs["batched"][:, 0], outs["batched"][:, 1])
+        kernel = EndToEndShotKernel(
+            5, 0.005, Scenario(events=(StrikeEvent(onset=30, size=1),)),
+            cycles=60, c_win=20, n_th=10 ** 6, alpha=0.01)
+        ref = reference_chunk(kernel, 23, np.random.default_rng(11))
+        out = kernel.run_batch_packed(23, np.random.default_rng(11))
+        assert np.array_equal(ref, out)
+        assert (out[:, 3] == -1).all()
+        assert np.array_equal(out[:, 0], out[:, 1])
 
 
 class TestDetectionKernelScanModes:
-    """scan="batched" == scan="pershot" for the detection kernel."""
+    """The batched windowed scan == the per-trial reference scan."""
 
     @pytest.mark.parametrize("d,p_ano", [(3, 0.05), (5, 0.05), (5, 0.3)])
     def test_modes_bit_equal(self, d, p_ano):
-        outs = {}
-        for mode in ("pershot", "batched"):
-            strike = StrikeEvent(onset=80, size=2, p_ano=p_ano)
-            kernel = DetectionShotKernel(
-                d, 2e-3, Scenario(events=(strike,)), c_win=40, n_th=3,
-                alpha=0.01, post_cycles=160, scan=mode)
-            kernel.prepare()
-            ref = kernel.run_batch(19, np.random.default_rng(5))
-            packed = kernel.run_batch_packed(19, np.random.default_rng(5))
-            assert np.array_equal(ref, packed, equal_nan=True)
-            outs[mode] = ref
-        assert np.array_equal(outs["pershot"], outs["batched"],
-                              equal_nan=True)
+        strike = StrikeEvent(onset=80, size=2, p_ano=p_ano)
+        kernel = DetectionShotKernel(
+            d, 2e-3, Scenario(events=(strike,)), c_win=40, n_th=3,
+            alpha=0.01, post_cycles=160)
+        ref = reference_chunk(kernel, 19, np.random.default_rng(5))
+        packed = kernel.run_batch_packed(19, np.random.default_rng(5))
+        assert np.array_equal(ref, packed, equal_nan=True)
 
     def test_false_positives_scored_identically(self):
         """A hair-trigger threshold generates pre-onset false positives;
         both scans must count them (and the post-onset detections that
         follow the discarded flags) the same way."""
-        outs = {}
-        for mode in ("pershot", "batched"):
-            kernel = DetectionShotKernel(
-                5, 2e-2, Scenario(events=(StrikeEvent(onset=40, size=2),)),
-                c_win=10, n_th=1, alpha=0.4, post_cycles=40, scan=mode)
-            kernel.prepare()
-            outs[mode] = kernel.run_batch(31, np.random.default_rng(3))
-        assert np.array_equal(outs["pershot"], outs["batched"],
-                              equal_nan=True)
-        assert outs["batched"][:, 0].sum() > 0  # the sweep has FPs
+        kernel = DetectionShotKernel(
+            5, 2e-2, Scenario(events=(StrikeEvent(onset=40, size=2),)),
+            c_win=10, n_th=1, alpha=0.4, post_cycles=40)
+        ref = reference_chunk(kernel, 31, np.random.default_rng(3))
+        out = kernel.run_batch_packed(31, np.random.default_rng(3))
+        assert np.array_equal(ref, out, equal_nan=True)
+        assert out[:, 0].sum() > 0  # the sweep has FPs
 
     def test_legacy_name_is_retired(self):
         """The DetectionTrialKernel alias (deprecated in PR 5) is gone."""
@@ -303,12 +286,6 @@ class TestDetectionKernelScanModes:
         import repro.sim
         with pytest.raises(AttributeError):
             repro.sim.DetectionTrialKernel
-
-    def test_bad_scan_mode_rejected(self):
-        with pytest.raises(ValueError):
-            DetectionShotKernel(
-                5, 1e-3, Scenario(events=(StrikeEvent(onset=80, size=2),)),
-                40, 3, 0.01, 160, scan="vectorized")
 
 
 class TestRetiredSequentialBranches:

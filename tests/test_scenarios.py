@@ -5,10 +5,8 @@ scenario holding one fixed-position (memory) or one re-drawn-per-shot
 (endtoend/detection) event over a uniform base rate must produce
 **bit-identical** counts and estimates to the legacy
 ``AnomalousRegion`` campaign it generalizes, per ``(seed, batch_size)``,
-packed and unpacked, on all three engines (docs/CONTRACTS.md).
+on all three engines (docs/CONTRACTS.md).
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -396,14 +394,11 @@ def _pairs():
 
 
 class TestLegacyBitIdentity:
-    @pytest.mark.parametrize("packing", ["bits", "none"])
     @pytest.mark.parametrize("mode_name, legacy, scenario",
                              _pairs(), ids=lambda v: v if
                              isinstance(v, str) else "")
     def test_single_event_scenario_equals_legacy_campaign(
-            self, mode_name, legacy, scenario, packing):
-        legacy = dataclasses.replace(legacy, packing=packing)
-        scenario = dataclasses.replace(scenario, packing=packing)
+            self, mode_name, legacy, scenario):
         want = campaigns.run(legacy)
         got = campaigns.run(scenario)
         # Bit identity: counts AND estimates, not statistical closeness.
@@ -485,6 +480,6 @@ class TestLeadEvent:
                             scenario=Scenario(events=(late, early)))
         kernel, _, _ = shot_engine(spec)
         state = kernel.pipeline().run_until(
-            "detect", kernel._context(8, np.random.default_rng(0), "bits"))
+            "detect", kernel._context(8, np.random.default_rng(0)))
         estimates = [est for est, _ in state.detections if est is not None]
         assert estimates and all(est.size == 3 for est in estimates)

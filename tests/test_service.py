@@ -187,6 +187,21 @@ class TestValidation:
         finally:
             app.close()
 
+    def test_mistyped_spec_is_400(self, tmp_path):
+        """A kind that is not a string, or a count that is not an
+        integer, is a bad request — not a dropped connection or a
+        campaign that fails later."""
+        app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
+        try:
+            doc = campaigns.spec_to_dict(_spec())
+            for bad in ({"kind": ["memory"]}, {**doc, "distance": 5.5},
+                        {**doc, "samples": 10.5}, {**doc, "seed": True}):
+                code, body = app.submit(json.dumps(bad).encode(), "public")
+                assert code == 400, (bad, body)
+                assert "error" in body
+        finally:
+            app.close()
+
     def test_sweep_is_400(self, tmp_path):
         app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
         try:

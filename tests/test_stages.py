@@ -6,7 +6,9 @@ The refactor contract for PR 7 is that re-basing the shot kernels on
 pre-refactor monolithic paths bit for bit.  The ``Golden*`` classes pin
 SHA-256 digests and campaign counts captured by running the
 pre-refactor kernels (commit b5da1d7) with these exact parameters — if
-any staged path drifts, these fail first.
+any staged path drifts, these fail first.  Their ``"none"`` cases run
+the float, per-shot reference (``reference_engines.reference_chunk``),
+so the digests pin the reference and the packed kernels alike.
 """
 
 import hashlib
@@ -18,10 +20,11 @@ from repro import campaigns
 from repro.noise.models import AnomalousRegion
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
-                             MemoryShotKernel)
-from repro.sim.stages import (ShotPipeline, Stage, StageContext, StageState,
-                              _overwrite_anomalous)
-from repro.sim import backend
+                             MemoryShotKernel, _windowed_over)
+from repro.sim.stages import ShotPipeline, Stage, StageContext, StageState
+from repro.sim import backend, bitops
+
+from reference_engines import reference_chunk
 
 
 def digest(a: np.ndarray) -> str:
@@ -52,31 +55,32 @@ def detection_kernel(**overrides) -> DetectionShotKernel:
 # ----------------------------------------------------------------------
 # Golden certification: staged kernels == pre-refactor outputs
 # ----------------------------------------------------------------------
+def _runner(kernel, packing):
+    """``"bits"``: the kernel; ``"none"``: the float per-shot reference."""
+    if packing == "none":
+        return lambda shots, rng: reference_chunk(kernel, shots, rng)
+    return kernel.run_batch_packed
+
+
 class TestGoldenKernels:
     """Digests captured from the pre-seam kernels (same seeds/params)."""
 
     @pytest.mark.parametrize("packing", ["none", "bits"])
     def test_memory_kernel_golden(self, packing):
-        kernel = memory_kernel()
-        run = (kernel.run_batch if packing == "none"
-               else kernel.run_batch_packed)
-        out = run(37, np.random.default_rng(123))
+        out = _runner(memory_kernel(), packing)(37,
+                                                 np.random.default_rng(123))
         assert digest(out) == "3601b4a71e36a6e5"
 
     @pytest.mark.parametrize("packing", ["none", "bits"])
     def test_endtoend_kernel_golden(self, packing):
-        kernel = endtoend_kernel()
-        run = (kernel.run_batch if packing == "none"
-               else kernel.run_batch_packed)
-        out = run(29, np.random.default_rng(7))
+        out = _runner(endtoend_kernel(), packing)(29,
+                                                   np.random.default_rng(7))
         assert digest(out) == "fc4151090cab8662"
 
     @pytest.mark.parametrize("packing", ["none", "bits"])
     def test_detection_kernel_golden(self, packing):
-        kernel = detection_kernel()
-        run = (kernel.run_batch if packing == "none"
-               else kernel.run_batch_packed)
-        out = run(21, np.random.default_rng(11))
+        out = _runner(detection_kernel(), packing)(
+            21, np.random.default_rng(11))
         assert digest(out) == "c85adf7c9bab065f"
 
 
@@ -126,20 +130,28 @@ class TestPipelineStructure:
         kernel = memory_kernel()
         with pytest.raises(ValueError, match="no stage named"):
             kernel.pipeline().run_until(
-                "detect", kernel._context(4, np.random.default_rng(0),
-                                          "none"))
+                "detect", kernel._context(4, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("kernel", [memory_kernel, endtoend_kernel,
+                                        detection_kernel])
+    def test_context_takes_only_the_packed_layout(self, kernel):
+        """``_context`` keeps its ``packing`` parameter for callers that
+        pass ``"bits"``; the float layout is gone."""
+        k = kernel()
+        assert k._context(4, None, "bits").shots == 4
+        with pytest.raises(ValueError, match="packing"):
+            k._context(4, None, "none")
 
     def test_base_stage_is_abstract(self):
         with pytest.raises(NotImplementedError):
-            Stage().run(StageContext(shots=1, packing="none"),
-                        StageState())
+            Stage().run(StageContext(shots=1), StageState())
 
     def test_context_carries_backend_seam(self):
-        ctx = StageContext(shots=1, packing="bits")
+        ctx = StageContext(shots=1)
         assert ctx.backend is backend
 
     def test_context_is_frozen(self):
-        ctx = StageContext(shots=1, packing="bits")
+        ctx = StageContext(shots=1)
         with pytest.raises(AttributeError):
             ctx.shots = 2
 
@@ -155,12 +167,12 @@ class TestMemoryStagesStepwise:
     def test_stepwise_equals_run_batch(self):
         shots, seed = 23, 42
         kernel = memory_kernel()
-        ctx = kernel._context(shots, np.random.default_rng(seed), "none")
+        ctx = kernel._context(shots, np.random.default_rng(seed))
         state = StageState()
         sample, extract, decode, accumulate = kernel.pipeline().stages
 
         sample.run(ctx, state)
-        assert state.v.shape == (shots, kernel.cycles, 5, 5)
+        assert state.v.shape == (1, kernel.cycles, 5, 5)  # one word
         assert state.nodes_list is None  # not extracted yet
 
         extract.run(ctx, state)
@@ -175,24 +187,27 @@ class TestMemoryStagesStepwise:
             state.outcomes, state.parities ^ state.matchings)
         np.testing.assert_array_equal(
             state.outcomes,
-            memory_kernel().run_batch(shots, np.random.default_rng(seed)))
+            memory_kernel().run_batch_packed(shots,
+                                             np.random.default_rng(seed)))
+        np.testing.assert_array_equal(
+            state.outcomes,
+            reference_chunk(memory_kernel(), shots,
+                            np.random.default_rng(seed)))
 
     def test_extract_stage_packed_matches_float(self):
         """The extract seam alone reproduces the float path's nodes."""
         shots, seed = 21, 3
         kernel = memory_kernel()
-        pipeline = kernel.pipeline()
-        states = {}
-        for packing in ("none", "bits"):
-            states[packing] = pipeline.run_until(
-                "extract",
-                kernel._context(shots, np.random.default_rng(seed),
-                                packing))
-        for a, b in zip(states["none"].nodes_list,
-                        states["bits"].nodes_list, strict=True):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(states["none"].parities,
-                                      states["bits"].parities)
+        state = kernel.pipeline().run_until(
+            "extract", kernel._context(shots, np.random.default_rng(seed)))
+        noise, lattice = kernel._state[:2]
+        v, h, m = noise.sample_batch(shots, kernel.cycles,
+                                     np.random.default_rng(seed))
+        for s, nodes in enumerate(state.nodes_list):
+            np.testing.assert_array_equal(
+                nodes, lattice.detection_events(v[s], h[s], m[s]))
+        np.testing.assert_array_equal(state.parities,
+                                      lattice.error_cut_parity(v))
 
 
 class TestEndToEndStagesStepwise:
@@ -200,8 +215,7 @@ class TestEndToEndStagesStepwise:
         shots, seed = 9, 17
         kernel = endtoend_kernel()
         state = kernel.pipeline().run_until(
-            "detect", kernel._context(shots, np.random.default_rng(seed),
-                                      "bits"))
+            "detect", kernel._context(shots, np.random.default_rng(seed)))
         assert len(state.nodes_list) == shots
         assert len(state.detections) == shots
         assert state.parities.shape == (shots,)
@@ -221,22 +235,43 @@ class TestEndToEndStagesStepwise:
 
     @pytest.mark.parametrize("decode", ["batched", "pershot"])
     def test_decode_modes_agree_through_stages(self, decode):
+        """Both decode paths of the stage agree with the reference: one
+        event weight decodes through the region-bucketed engine
+        (``batched``), two different weights score shot by shot
+        (``pershot``)."""
         shots, seed = 11, 29
-        out = endtoend_kernel(decode=decode).run_batch_packed(
-            shots, np.random.default_rng(seed))
-        ref = endtoend_kernel(decode="batched").run_batch(
-            shots, np.random.default_rng(seed))
+        events = (StrikeEvent(onset=30, size=2, p_ano=0.5),)
+        if decode == "pershot":
+            events += (StrikeEvent(onset=40, size=1, p_ano=0.2),)
+        kernel = endtoend_kernel(scenario=Scenario(events=events))
+        out = kernel.run_batch_packed(shots, np.random.default_rng(seed))
+        ref = reference_chunk(kernel, shots, np.random.default_rng(seed))
         np.testing.assert_array_equal(out, ref)
 
 
 class TestDetectionStagesStepwise:
     @pytest.mark.parametrize("scan", ["batched", "pershot"])
     def test_scan_modes_agree_through_stages(self, scan):
+        """The full pipeline's one batched windowed-count pass
+        (``batched``) and per-shot ``_windowed_over`` scans of the
+        extract stage's activity (``pershot``) both reproduce the
+        reference."""
         shots, seed = 12, 8
-        out = detection_kernel(scan=scan).run_batch_packed(
-            shots, np.random.default_rng(seed))
-        ref = detection_kernel(scan="batched").run_batch(
-            shots, np.random.default_rng(seed))
+        kernel = detection_kernel()
+        if scan == "batched":
+            out = kernel.run_batch_packed(shots, np.random.default_rng(seed))
+        else:
+            state = kernel.pipeline().run_until(
+                "extract", kernel._context(shots, np.random.default_rng(seed)))
+            activity = bitops.unpack_shots(state.activity, shots)
+            out = np.array([
+                kernel._score_scan(
+                    *_windowed_over(activity[s], kernel.c_win,
+                                    kernel._state[1]),
+                    state.regions[s])
+                for s in range(shots)])
+        ref = reference_chunk(detection_kernel(), shots,
+                              np.random.default_rng(seed))
         np.testing.assert_array_equal(out, ref)
 
     def test_extract_stage_activity_shapes(self):
@@ -244,14 +279,5 @@ class TestDetectionStagesStepwise:
         kernel = detection_kernel()
         total = kernel.normal_cycles + kernel.post_cycles
         state = kernel.pipeline().run_until(
-            "extract", kernel._context(shots, np.random.default_rng(seed),
-                                       "none"))
-        assert state.activity.shape == (shots, total, 4, 5)
-
-
-# ----------------------------------------------------------------------
-# The re-exported overwrite helper keeps its import surface
-# ----------------------------------------------------------------------
-def test_overwrite_reexported_from_batch():
-    from repro.sim import batch
-    assert batch._overwrite_anomalous is _overwrite_anomalous
+            "extract", kernel._context(shots, np.random.default_rng(seed)))
+        assert state.activity.shape == (1, total, 4, 5)  # one word
