@@ -7,8 +7,9 @@ batch engine pays for itself >= 5x over the sequential path; the
 bit-packed sampling + syndrome-extraction stage delivers >= 3x
 throughput over float sampling with per-shot node extraction, with
 per-shot sample storage cut ~50x (8 bytes per sampled bit materialized
-by the float64 draw vs one bit per bit plus a fixed 64-shot scratch
-block); and the cross-shot bucketed decode engine delivers >= 3x
+by the float64 draw vs one bit per bit plus a fixed scratch: one float
+piece and one word of bools); and the cross-shot bucketed decode engine
+delivers >= 3x
 decode-stage throughput over a per-shot decode loop on the same grid.
 
 The batched results are also cross-checked for determinism and for the
@@ -35,7 +36,7 @@ from repro.campaigns.checkpoint import CheckpointStore
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion
 from repro.decoding.greedy import greedy_cut_parity
-from repro.noise.models import PACKED_SAMPLE_CHUNK, PhenomenologicalNoise
+from repro.noise.models import PACKED_SAMPLE_UNIFORMS, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel, chunk_plan
@@ -149,14 +150,15 @@ def bench_packed_sampling_stage(benchmark):
     a campaign-scale batch on the Fig. 8 grid.  Bars: >= 3x aggregate
     throughput, ~50x smaller per-shot sample storage (reported model:
     8 B float64 draw + 1 B bool stored per sampled bit, against 1 bit
-    stored plus the fixed 64-shot scratch block), and the measured
-    whole-stage peak (which also carries the active-node coordinate
-    arrays both backends hand to the decoder) >= 10x smaller.
+    stored plus the fixed scratch of one float piece and one word of
+    bools), and the measured whole-stage peak (which also carries the
+    active-node coordinate arrays both backends hand to the decoder)
+    >= 10x smaller.
     """
     # Batch size of a paper-scale packed campaign, not the MC depth knob.
-    # The storage model amortizes the fixed 64-shot scratch block over
-    # the batch, so REPRO_SCALE may grow the batch but never shrink it
-    # below the regime the ~50x claim (and its assertion) is about.
+    # The storage model amortizes the fixed scratch over the batch, so
+    # REPRO_SCALE may grow the batch but never shrink it below the
+    # regime the ~50x claim (and its assertion) is about.
     shots = max(8192, int(8192 * scale()))
     rows = []
     float_total = packed_total = 0.0
@@ -182,12 +184,19 @@ def bench_packed_sampling_stage(benchmark):
             packed_total += bit_t
             mem_ratios.append(flt_peak / bit_peak)
 
-            # Per-shot sample storage model, from real array sizes.
+            # Per-shot sample storage model, from real array sizes.  The
+            # packed scratch of the largest array (v) is one float piece
+            # of whole shots (at most PACKED_SAMPLE_UNIFORMS uniforms and
+            # one word of shots) plus one word of bools and its
+            # lanes-last copy inside pack_shots.
             bits_per_shot = d * (d * d + (d - 1) ** 2 + (d - 1) * d)
             float_bytes = 9.0 * bits_per_shot  # 8 B draw + 1 B stored
+            v_bits = d * d * d
+            piece = min(bitops.WORD_BITS,
+                        max(1, PACKED_SAMPLE_UNIFORMS // v_bits))
             packed_bytes = (bits_per_shot / 8.0
-                            + 9.0 * bits_per_shot
-                            * PACKED_SAMPLE_CHUNK / shots)
+                            + (8.0 * piece + 2.0 * bitops.WORD_BITS)
+                            * v_bits / shots)
             storage_ratios.append(float_bytes / packed_bytes)
             rows.append([f"d={d} p={p}",
                          f"{flt_t * 1e3:.0f} / {bit_t * 1e3:.0f}",

@@ -19,6 +19,7 @@ one-event :meth:`Scenario.from_region`):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -124,11 +125,11 @@ def build_anomalous_masks(distance: int,
     return v_mask, h_mask, m_mask
 
 
-#: Shots drawn per float scratch block inside ``sample_batch_packed``.
-#: Word-aligned (a multiple of 64) so every block fills whole uint64
-#: words; one word keeps the float scratch of the largest Fig. 8 point
-#: around a megabyte, so the packed batch itself dominates peak memory.
-PACKED_SAMPLE_CHUNK = 64
+#: Uniforms per float draw inside ``sample_batch_packed``.  A draw
+#: covers as many whole shots of one word as fit (at least one), so the
+#: float scratch is ~2 MB, or one shot where a shot holds more (a
+#: paper-scale Fig. 7 trial), instead of a whole 64-shot block.
+PACKED_SAMPLE_UNIFORMS = 1 << 18
 
 
 class PhenomenologicalNoise:
@@ -262,44 +263,43 @@ class PhenomenologicalNoise:
         :mod:`repro.sim.bitops`).
 
         Draws the *identical* uniform stream as :meth:`sample_batch` —
-        each array (base, then each event's overlay) is filled in
-        word-aligned shot blocks whose concatenation is the same
+        each array (base, then each event's overlay) is filled word by
+        word, in pieces of whole shots whose concatenation is the same
         C-ordered sequence one big ``rng.random`` call would produce —
         so for a given generator state the packed bits equal the float
-        path's bits exactly, while the float scratch never exceeds one
-        :data:`PACKED_SAMPLE_CHUNK`-shot block (~1 bit stored per
-        sampled bit instead of 8 bytes).
+        path's bits exactly.  The scratch is one word of bools plus one
+        piece of floats of at most :data:`PACKED_SAMPLE_UNIFORMS`
+        uniforms (or one shot, where a shot holds more), so storage is
+        ~1 bit per sampled bit instead of 8 bytes.
         """
-        from repro.sim.bitops import pack_shots, word_count
+        from repro.sim.bitops import WORD_BITS, pack_shots, word_count
 
         if shots < 1:
             raise ValueError("need at least one shot")
         d = self.distance
         words = word_count(shots)
-        shapes = ((d, d), (d - 1, d - 1), (d - 1, d))
         thr = self._thresholds(cycles)
 
-        def blocks():
-            for start in range(0, shots, PACKED_SAMPLE_CHUNK):
-                n = min(PACKED_SAMPLE_CHUNK, shots - start)
-                yield start // 64, word_count(n), n
+        def draw(shape: tuple, rate) -> np.ndarray:
+            """Packed ``rng.random((shots,) + shape) < rate``."""
+            out = np.empty((words,) + shape, dtype=np.uint64)
+            bits = np.empty((min(WORD_BITS, shots),) + shape, dtype=bool)
+            step = max(1, PACKED_SAMPLE_UNIFORMS // max(1, math.prod(shape)))
+            floats = np.empty((min(step, len(bits)),) + shape)
+            for w in range(words):
+                n = min(WORD_BITS, shots - WORD_BITS * w)
+                for s in range(0, n, step):
+                    u = rng.random(out=floats[:min(step, n - s)])
+                    np.less(u, rate, out=bits[s:s + len(u)])
+                out[w] = pack_shots(bits[:n])[0]
+            return out
 
-        packed = []
-        for idx, shape in enumerate(shapes):
-            rate = self.p if thr is None else thr[idx]
-            arr = np.empty((words, cycles) + shape, dtype=np.uint64)
-            for w0, nw, n in blocks():
-                # No name for the uniforms: the float block is freed as
-                # soon as it is compared, before the packing runs.
-                arr[w0:w0 + nw] = pack_shots(
-                    rng.random((n, cycles) + shape) < rate)
-            packed.append(arr)
-
+        shapes = ((d, d), (d - 1, d - 1), (d - 1, d))
+        packed = [draw((cycles,) + shape, self.p if thr is None else thr[i])
+                  for i, shape in enumerate(shapes)]
         for t_lo, t_hi, masks, p_ano in self._active_overlays(
                 cycles, thr is None):
             for arr, mask in zip(packed, masks, strict=True):
-                k = int(mask.sum())
-                for w0, nw, n in blocks():
-                    arr[w0:w0 + nw, t_lo:t_hi][:, :, mask] = pack_shots(
-                        rng.random((n, t_hi - t_lo, k)) < p_ano)
+                arr[:, t_lo:t_hi][:, :, mask] = draw(
+                    (t_hi - t_lo, int(mask.sum())), p_ano)
         return tuple(packed)

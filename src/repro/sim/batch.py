@@ -20,8 +20,9 @@ module is the production hot path, and its only one:
 * **Bit-packed sampling and extraction** — Bernoulli bits are sampled
   straight into uint64 words (64 shots per word, see
   :mod:`repro.sim.bitops`), and syndrome differences and boundary
-  parities run as word-wise XOR; nothing is unpacked until decode, and
-  decode materializes only each shot's active-node coordinates.
+  parities run as word-wise XOR.  The windowed detection scan unpacks
+  only the bytes that hold real lanes, and decode materializes only
+  each shot's active-node coordinates.
 
 * **Cross-shot batched decode** — the greedy matchings of a chunk run
   through :mod:`repro.decoding.batched`: shots bucketed by active-node
@@ -78,12 +79,13 @@ from repro.sim.stages import (DetectionExtractStage, DetectionScoreStage,
 #: dominating memory.
 MAX_CHUNK_SHOTS = 4096
 
-#: Activity-tensor element budget per in-process chunk.  The batched
-#: windowed scan materializes int32 cumulative sums (plus a windowed
-#: copy) of the whole ``(S, T, rows, cols)`` chunk, so the chunk size
-#: must shrink with ``cycles * d^2`` — a shots-only cap would OOM the
-#: paper-scale Fig. 7 points (d = 21, c_win in the hundreds) that the
-#: old sequential path streamed one trial at a time.
+#: Activity-tensor element budget per in-process chunk.  The windowed
+#: scan unpacks the whole ``(S, T, rows, cols)`` chunk to one byte per
+#: element and writes a bool ``over`` block of the same size, so the
+#: chunk size must shrink with ``cycles * d^2`` — a shots-only cap
+#: would OOM the paper-scale Fig. 7 points (d = 21, c_win in the
+#: hundreds).  The cap keeps a chunk's scan near 64 MB.  It also fixes
+#: the default chunk plans, and so the outcomes, of ``workers=0`` runs.
 MAX_CHUNK_ELEMENTS = 1 << 25
 
 
@@ -168,23 +170,39 @@ def _windowed_over(activity: np.ndarray, c_win: int,
     return over, over.sum(axis=(1, 2))
 
 
-def _windowed_over_batch(activity: np.ndarray, c_win: int,
+def _windowed_over_batch(activity_words: np.ndarray, shots: int, c_win: int,
                          v_th: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_windowed_over` across a whole ``(S, T, ...)`` batch.
+    """:func:`_windowed_over` for every shot of a packed activity stream.
 
-    Integer cumulative sums, so ``over[s]`` / ``n_over[s]`` equal the
-    per-shot scan bit for bit; one pass replaces the ``S`` per-shot
-    cumsum/window calls of the kernels' detection scans.
+    ``activity_words`` is the extract stage's ``(words, T, rows, cols)``
+    uint64 stream.  Only the bytes holding real lanes are unpacked,
+    time-major with lanes last, and the window slides one layer at a
+    time as an integer running sum (counts never exceed ``c_win``), so
+    ``over[..., s]`` / ``n_over[s]`` equal the per-shot scan of shot
+    ``s`` bit for bit.  Returns ``over`` as ``(K, rows, cols, shots)``
+    and ``n_over`` as ``(shots, K)``.
     """
-    if activity.shape[1] < c_win:
-        empty = np.zeros((len(activity), 0) + activity.shape[2:],
-                         dtype=bool)
-        return empty, np.zeros((len(activity), 0), dtype=np.int64)
-    cum = np.cumsum(activity, axis=1, dtype=np.int32)
-    windowed = cum[:, c_win - 1:].copy()
-    windowed[:, 1:] -= cum[:, :-c_win]
-    over = windowed > v_th
-    return over, over.sum(axis=(2, 3))
+    words, cycles = activity_words.shape[:2]
+    grid = activity_words.shape[2:]
+    if cycles < c_win:
+        return (np.zeros((0,) + grid + (shots,), dtype=bool),
+                np.zeros((shots, 0), dtype=np.int64))
+    n_bytes = -(-shots // 8)
+    as_bytes = np.ascontiguousarray(activity_words, dtype="<u8").view(
+        np.uint8).reshape(activity_words.shape + (8,))
+    lanes = np.moveaxis(as_bytes, 0, -2).reshape(
+        (cycles,) + grid + (8 * words,))
+    act = np.unpackbits(np.ascontiguousarray(lanes[..., :n_bytes]).ravel(),
+                        bitorder="little").reshape(
+        (cycles,) + grid + (8 * n_bytes,))
+    counts = act[:c_win].sum(axis=0, dtype=np.min_scalar_type(c_win))
+    over = np.empty((cycles - c_win + 1,) + act.shape[1:], dtype=bool)
+    np.greater(counts, v_th, out=over[0])
+    for k in range(1, len(over)):
+        counts += act[k + c_win - 1]
+        counts -= act[k - 1]
+        np.greater(counts, v_th, out=over[k])
+    return over[..., :shots], over.sum(axis=(1, 2)).T[:shots]
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +319,11 @@ class EndToEndShotKernel(_ShotKernel):
     ``scenario``'s events, positionless ones re-drawn every shot; the
     control unit assumes the lead (earliest-onset) event's onset, size
     and weight.  The per-cycle detection scan is replaced by a
-    windowed-count computation over the whole activity stream (exact
-    under the discard-pre-onset semantics: masks from discarded events
-    are cleared, and the first accepted event ends the shot, so no mask
-    can ever touch a scored detection).
+    windowed-count computation over the whole packed activity stream
+    (:func:`_windowed_over_batch`, a per-layer running sum over the
+    chunk's real lanes; exact under the discard-pre-onset semantics:
+    masks from discarded events are cleared, and the first accepted
+    event ends the shot, so no mask can ever touch a scored detection).
 
     The per-shot truncated rerun (``v[:stop]`` …) never happens: the
     difference lattice of a run stopped at ``stop`` is the first
@@ -364,16 +383,17 @@ class EndToEndShotKernel(_ShotKernel):
                                         arena=self._arena)
         return _mwpm_parities(MWPMDecoder(naive_model), nodes_list)
 
-    def _detect_all(self, activity: np.ndarray) -> list:
-        """Detection scans for a whole ``(S, T, rows, cols)`` chunk.
+    def _detect_all(self, activity_words: np.ndarray, shots: int) -> list:
+        """Detection scans for a whole chunk's packed activity stream.
 
-        One batched windowed-count pass; integer window sums keep every
+        One windowed-count pass over the packed words
+        (:func:`_windowed_over_batch`); integer window sums keep every
         shot's scan equal to a per-shot :func:`_windowed_over` scan.
         """
-        over, n_over = _windowed_over_batch(activity, self.c_win,
-                                            self._state[1])
-        return [self._detect_scan(over[s], n_over[s])
-                for s in range(len(activity))]
+        over, n_over = _windowed_over_batch(activity_words, shots,
+                                            self.c_win, self._state[1])
+        return [self._detect_scan(over[..., s], n_over[s])
+                for s in range(shots)]
 
     def _detect_scan(self, over: np.ndarray, n_over: np.ndarray):
         """One shot's scan tail over its windowed counter state.
@@ -501,7 +521,8 @@ class DetectionShotKernel(_ShotKernel):
     under the discard semantics, where pre-onset flags clear their masks
     and the first post-onset flag ends the trial.  Sampling and the
     syndrome-difference stream stay packed (64 trials per uint64 word)
-    until one batched windowed-count pass scans the whole chunk.
+    until one windowed-count pass (:func:`_windowed_over_batch`) slides
+    over the words, unpacking only the bytes of real trials.
     """
 
     success_column = 1
@@ -534,15 +555,15 @@ class DetectionShotKernel(_ShotKernel):
             self.distance, self.p, replace(self.scenario, events=()))
         self._state = (SyndromeLattice(self.distance), v_th, base_noise)
 
-    def _score_all(self, activity: np.ndarray,
+    def _score_all(self, activity_words: np.ndarray,
                    regions: list) -> np.ndarray:
-        """Outcome rows for a whole ``(S, T, rows, cols)`` chunk."""
-        shots = len(activity)
+        """Outcome rows for a whole chunk's packed activity stream."""
+        shots = len(regions)
         out = np.empty((shots, 4), dtype=np.float64)
-        over, n_over = _windowed_over_batch(activity, self.c_win,
-                                            self._state[1])
+        over, n_over = _windowed_over_batch(activity_words, shots,
+                                            self.c_win, self._state[1])
         for s in range(shots):
-            out[s] = self._score_scan(over[s], n_over[s], regions[s])
+            out[s] = self._score_scan(over[..., s], n_over[s], regions[s])
         return out
 
     def _score_scan(self, over: np.ndarray, n_over: np.ndarray,

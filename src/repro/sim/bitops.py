@@ -15,6 +15,13 @@ Conventions:
 * lanes are LSB-first: lane ``b`` of a word is ``(word >> b) & 1``;
 * tail lanes of the final word (shots not divisible by 64) are
   zero-filled on packing and must never be read back as shots.
+
+Lane ``b`` of a word is bit ``b % 8`` of its little-endian byte
+``b // 8``, so a chunk's real lanes fill only its first
+``ceil(shots / 8)`` bytes: :func:`pack_shots` pads lanes to a whole byte
+(not to 64) before packing, and a reader that needs only the real
+shots — the windowed detection scan in :mod:`repro.sim.batch` — unpacks
+only those bytes.
 """
 
 from __future__ import annotations
@@ -38,32 +45,33 @@ def pack_shots(bits: np.ndarray) -> np.ndarray:
     """Pack a boolean ``(shots, ...)`` array into ``(words, ...)`` uint64.
 
     Lane ``s % 64`` of word ``s // 64`` holds shot ``s``; tail lanes of
-    the final word are zero.
+    the final word are zero.  The result is C-contiguous.
     """
     xp = backend.get_array_module(bits)
     # Thresholding up front keeps any-nonzero-is-1 packbits semantics
     # on every backend and alignment.
     bits = xp.asarray(bits).astype(bool, copy=False)
-    shots = bits.shape[0]
+    shots, rest = bits.shape[0], bits.shape[1:]
     words = word_count(shots)
-    if shots != words * WORD_BITS:
-        pad = xp.zeros((words * WORD_BITS - shots,) + bits.shape[1:],
-                       dtype=bool)
-        bits = xp.concatenate([bits, pad], axis=0)
-    lanes_first = bits.reshape((words, WORD_BITS) + bits.shape[1:])
     if xp is not np:  # generic lane fold (CuPy packbits lacks bitorder)
-        out = xp.zeros((words,) + bits.shape[1:], dtype=xp.uint64)
+        pad = xp.zeros((words * WORD_BITS - shots,) + rest, dtype=bool)
+        lanes_first = xp.concatenate([bits, pad], axis=0).reshape(
+            (words, WORD_BITS) + rest)
+        out = xp.zeros((words,) + rest, dtype=xp.uint64)
         for b in range(WORD_BITS):
             out |= lanes_first[:, b].astype(xp.uint64) << xp.uint64(b)
         return out
-    # (words, 64, ...) -> (words, ..., 64): lanes must be the fastest
-    # axis so the 8 packed bytes of each word are memory-adjacent.
-    # Materializing the transpose before packbits matters: packbits on a
-    # strided view falls back to a buffered per-element walk that is
-    # several times slower than transpose-copy + contiguous packing.
-    lanes_last = np.ascontiguousarray(np.moveaxis(lanes_first, 1, -1))
-    packed = np.packbits(lanes_last, axis=-1, bitorder="little")
-    return packed.view("<u8")[..., 0]
+    # Lanes last, padded to a whole byte only: every row is whole bytes,
+    # so one flat packbits equals the per-row packing and runs several
+    # times faster.  The zeroed byte buffer supplies the word's tail
+    # lanes, and only the word axis is moved back to the front.
+    n_bytes = -(-shots // 8)
+    lanes_last = xp.zeros(rest + (8 * n_bytes,), dtype=bool)
+    lanes_last[..., :shots] = np.moveaxis(bits, 0, -1)
+    packed = xp.zeros(rest + (8 * words,), dtype=xp.uint8)
+    packed[..., :n_bytes] = np.packbits(
+        lanes_last.reshape(-1), bitorder="little").reshape(rest + (n_bytes,))
+    return np.ascontiguousarray(np.moveaxis(packed.view("<u8"), -1, 0))
 
 
 def unpack_shots(words: np.ndarray, shots: int) -> np.ndarray:

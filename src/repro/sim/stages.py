@@ -327,6 +327,7 @@ class EndToEndDetectStage(_KernelStage):
     truncated difference lattice is the first ``stop`` activity
     layers plus a final layer that is exactly ``m[stop - 1]``, and the
     truncated error parity is one bit of the running north-cut parity.
+    The scan reads the extract stage's packed activity words directly.
     """
 
     name = "detect"
@@ -337,8 +338,7 @@ class EndToEndDetectStage(_KernelStage):
         detections: list = []
         nodes_list: list = []
         parities = np.empty(ctx.shots, dtype=np.int64)
-        scans = kernel._detect_all(
-            bitops.unpack_shots(state.activity, ctx.shots))
+        scans = kernel._detect_all(state.activity, ctx.shots)
         for s, (stop, estimated, latency) in enumerate(scans):
             nodes_list.append(kernel._shot_nodes_truncated(
                 lattice, state.coords, state.vals, state.bounds,
@@ -418,7 +418,7 @@ class DetectionExtractStage(_KernelStage):
 
 
 class DetectionScoreStage(_KernelStage):
-    """Windowed-count scans → outcome rows.
+    """Windowed-count scans of the packed activity → outcome rows.
 
     For detection trials the scan rows *are* the outcome rows
     (``false_positive, detected, latency, position_error``), so the
@@ -429,5 +429,5 @@ class DetectionScoreStage(_KernelStage):
     name = "detect"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
-        state.outcomes = self.kernel._score_all(
-            bitops.unpack_shots(state.activity, ctx.shots), state.regions)
+        state.outcomes = self.kernel._score_all(state.activity,
+                                                state.regions)

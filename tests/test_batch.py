@@ -12,13 +12,15 @@ from repro.decoding import (
     greedy_cut_parity,
     greedy_decode_fast,
 )
-from repro.noise import AnomalousRegion, PhenomenologicalNoise
+from repro.noise import AnomalousRegion, PhenomenologicalNoise, models
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import (
     DetectionShotKernel,
     EndToEndShotKernel,
     MemoryShotKernel,
+    _windowed_over,
+    _windowed_over_batch,
     chunk_plan,
 )
 from repro.sim.detection import run_detection_trials
@@ -161,12 +163,13 @@ class TestBitops:
         with pytest.raises(ValueError):
             bitops.word_count(0)
 
-    @pytest.mark.parametrize("shots", [1, 37, 64, 130, 513])
+    @pytest.mark.parametrize("shots", [1, 8, 16, 37, 64, 130, 513])
     def test_pack_round_trip(self, rng, shots):
         bits = rng.random((shots, 3, 4, 5)) < 0.3
         words = bitops.pack_shots(bits)
         assert words.dtype == np.uint64
         assert words.shape == (bitops.word_count(shots), 3, 4, 5)
+        assert words.flags.c_contiguous
         assert np.array_equal(bitops.unpack_shots(words, shots), bits)
 
     def test_tail_lanes_zero_filled(self):
@@ -219,9 +222,55 @@ class TestPackedSampling:
         for a, b in zip(ref, packed, strict=True):
             assert np.array_equal(bitops.unpack_shots(b, shots), a)
 
+    @pytest.mark.parametrize("uniforms", [3 * 4 * 3 * 3, 1],
+                             ids=["3-shot-pieces", "sub-shot-constant"])
+    def test_pieces_split_inside_and_across_words(self, monkeypatch,
+                                                  uniforms):
+        """Float pieces of 3 v-shots (boundaries inside every word), or a
+        draw constant smaller than one shot (one-shot pieces), still
+        reproduce the one-big-call stream: base rate field, drift and a
+        fixed event overlay alike."""
+        monkeypatch.setattr(models, "PACKED_SAMPLE_UNIFORMS", uniforms)
+        scenario = Scenario(
+            events=(StrikeEvent(onset=1, size=1, row=0, col=1, p_ano=0.3),),
+            rate_field=[[2.0, 1.0, 1.0], [1.0, 1.0, 3.0]], drift=(1.0, 1.5))
+        noise = PhenomenologicalNoise(3, 0.05, scenario)
+        shots = 130
+        ref = noise.sample_batch(shots, 4, np.random.default_rng(8))
+        packed = noise.sample_batch_packed(shots, 4,
+                                           np.random.default_rng(8))
+        for a, b in zip(ref, packed, strict=True):
+            assert np.array_equal(bitops.unpack_shots(b, shots), a)
+
     def test_rejects_zero_shots(self, rng):
         with pytest.raises(ValueError):
             PhenomenologicalNoise(5, 0.05).sample_batch_packed(0, 3, rng)
+
+
+class TestPackedWindowedScan:
+    """The packed windowed scan equals the per-shot ``_windowed_over``
+    on every real lane, across words and at the window's edge cases."""
+
+    @pytest.mark.parametrize("shots", [13, 64, 130])
+    @pytest.mark.parametrize("cycles, c_win", [(5, 9), (9, 9), (9, 1),
+                                               (40, 7), (310, 300)],
+                             ids=["T<c_win", "T==c_win", "c_win==1",
+                                  "T>c_win", "uint16-counts"])
+    def test_matches_per_shot_scan(self, shots, cycles, c_win):
+        # Dense activity: window counts near v_th, and above 255 in the
+        # c_win = 300 case, where a uint8 running sum would wrap.
+        rng = np.random.default_rng(cycles + c_win)
+        activity = rng.random((shots, cycles, 4, 5)) < 0.9
+        v_th = 0.9 * c_win
+        over, n_over = _windowed_over_batch(bitops.pack_shots(activity),
+                                            shots, c_win, v_th)
+        windows = max(0, cycles - c_win + 1)
+        assert over.shape == (windows, 4, 5, shots)
+        assert n_over.shape == (shots, windows)
+        for s in range(shots):
+            ref_over, ref_n = _windowed_over(activity[s], c_win, v_th)
+            assert np.array_equal(over[..., s], ref_over), s
+            assert np.array_equal(n_over[s], ref_n), s
 
 
 class TestPackedExtraction:
@@ -302,24 +351,27 @@ class TestPackedKernelEquivalence:
         packed = kernel.run_batch_packed(70, np.random.default_rng(5))
         assert np.array_equal(ref, packed)
 
-    @pytest.mark.parametrize("distance", [3, 5])
-    def test_endtoend_kernel(self, distance):
+    # The 130-shot chunks span three words, the last one partial.
+    @pytest.mark.parametrize("distance, shots", [(3, 37), (5, 37), (5, 130)],
+                             ids=["3", "5", "5-130"])
+    def test_endtoend_kernel(self, distance, shots):
         strike = StrikeEvent(onset=30, size=2, p_ano=0.5)
         kernel = EndToEndShotKernel(distance, 0.01,
                                     Scenario(events=(strike,)), cycles=70,
                                     c_win=25, n_th=3, alpha=0.01)
-        ref = reference_chunk(kernel, 37, np.random.default_rng(3))
-        packed = kernel.run_batch_packed(37, np.random.default_rng(3))
+        ref = reference_chunk(kernel, shots, np.random.default_rng(3))
+        packed = kernel.run_batch_packed(shots, np.random.default_rng(3))
         assert np.array_equal(ref, packed)
 
-    @pytest.mark.parametrize("distance", [3, 5])
-    def test_detection_kernel(self, distance):
+    @pytest.mark.parametrize("distance, shots", [(3, 17), (5, 17), (5, 130)],
+                             ids=["3", "5", "5-130"])
+    def test_detection_kernel(self, distance, shots):
         strike = StrikeEvent(onset=80, size=2, p_ano=0.05)
         kernel = DetectionShotKernel(distance, 2e-3,
                                      Scenario(events=(strike,)), c_win=40,
                                      n_th=3, alpha=0.01, post_cycles=160)
-        ref = reference_chunk(kernel, 17, np.random.default_rng(5))
-        packed = kernel.run_batch_packed(17, np.random.default_rng(5))
+        ref = reference_chunk(kernel, shots, np.random.default_rng(5))
+        packed = kernel.run_batch_packed(shots, np.random.default_rng(5))
         assert np.array_equal(ref, packed, equal_nan=True)
 
     def test_runner_packing_knob(self, run_with_outcomes):
