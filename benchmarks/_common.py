@@ -4,11 +4,11 @@ Every bench regenerates one of the paper's tables or figures and prints
 the same rows/series the paper reports.  Monte-Carlo depth is controlled
 by the ``REPRO_*`` environment knobs so CI stays fast while
 full-fidelity runs remain one command away.  The knobs themselves —
-``REPRO_SAMPLES``, ``REPRO_SCALE``, ``REPRO_WORKERS``,
-``REPRO_BACKEND``, ``REPRO_JSON``, ``REPRO_JSON_DIR`` — are owned and
-documented by :mod:`repro.config` (one reader, call-time resolution);
-the thin wrappers here keep the bench scripts' historical names and the
-``--json`` command-line override.
+``REPRO_SAMPLES``, ``REPRO_SCALE``, ``REPRO_WORKERS``, ``REPRO_JSON``,
+``REPRO_JSON_DIR`` — are owned and documented by :mod:`repro.config`
+(one reader, call-time resolution); the thin wrappers here keep the
+bench scripts' historical names and the ``--json`` command-line
+override.
 
 See ``benchmarks/README.md`` for the workflow and the JSON schema.
 """
@@ -62,11 +62,6 @@ def emit_json(name: str, section: str, payload: dict) -> Optional[str]:
                 doc = json.load(fh)
         except (OSError, ValueError):
             doc = {}
-    try:
-        from repro.sim import backend
-        backend_name = backend.name
-    except Exception:  # pragma: no cover - repro not importable
-        backend_name = "unknown"
     doc["bench"] = name
     doc.pop("env", None)  # pre-refactor file-global env block
     # No timestamp on purpose: the file is committed as the cross-PR
@@ -79,7 +74,6 @@ def emit_json(name: str, section: str, payload: dict) -> Optional[str]:
         "samples": mc_samples(),
         "workers": mc_workers(),
         "scale": scale(),
-        "backend": backend_name,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -69,8 +69,7 @@ def main():
               f"{result.estimates['per_run']:.4f}   "
               f"p_L/cycle = {result.estimates['per_cycle']:.5f}")
     print(f"  (spec hash of the last campaign: "
-          f"{result.provenance.spec_hash}; backend "
-          f"{result.provenance.backend}, engine chunks "
+          f"{result.provenance.spec_hash}; engine chunks "
           f"{result.provenance.chunks})")
 
     print("\nStep 4: the live control unit (detection -> expand + rollback)")

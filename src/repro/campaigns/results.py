@@ -4,10 +4,10 @@ Every campaign — whatever its kind — comes back as a
 :class:`CampaignResult`: the headline ``estimates`` (floats), the raw
 ``counts`` (shots, failures, the shot request), and a
 :class:`Provenance` block recording exactly what produced them (spec
-hash, seed, backend, package version, executor, wall clock, chunk
-accounting).  ``to_dict()`` gives the JSON the CLI prints; ``detail``
-keeps the domain result object (:class:`~repro.sim.LogicalErrorEstimate`
-and friends) for in-process callers and the legacy shims.
+hash, seed, package version, executor, wall clock, chunk accounting).
+``to_dict()`` gives the JSON the CLI prints; ``detail`` keeps the domain
+result object (:class:`~repro.sim.LogicalErrorEstimate` and friends)
+for in-process callers and the legacy shims.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class Provenance:
     spec_hash: str
     kind: str
     seed: int
-    backend: str
     version: str
     executor: str
     wall_clock_s: float

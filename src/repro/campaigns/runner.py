@@ -305,12 +305,10 @@ def _provenance(spec, executor: Executor, started: float,
                 chunks: int = 0, resumed: int = 0,
                 supervisor: Optional[dict] = None) -> Provenance:
     import repro
-    from repro.sim import backend
     return Provenance(
         spec_hash=spec_hash(spec),
         kind=spec.kind,
         seed=spec.seed,
-        backend=backend.name,
         version=repro.__version__,
         executor=executor.describe(),
         wall_clock_s=time.perf_counter() - started,

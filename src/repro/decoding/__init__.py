@@ -25,8 +25,7 @@ from repro.decoding.mwpm import MWPMDecoder
 from repro.decoding.greedy import (FastGreedyDecoder, GreedyDecoder,
                                    greedy_cut_parity, greedy_decode_fast)
 from repro.decoding.decoder_base import DecodeResult, Match
-from repro.decoding.batched import (ScratchArena, batched_cut_parities,
-                                    batched_decode)
+from repro.decoding.batched import ScratchArena, batched_cut_parities
 
 __all__ = [
     "SyndromeLattice",
@@ -38,7 +37,6 @@ __all__ = [
     "greedy_decode_fast",
     "greedy_cut_parity",
     "batched_cut_parities",
-    "batched_decode",
     "ScratchArena",
     "DecodeResult",
     "Match",

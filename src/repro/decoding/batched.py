@@ -3,50 +3,49 @@
 PR 2 made sampling and syndrome extraction word-wise; the per-shot
 decode loop — rebuild an ``(n, n)`` distance matrix, sort candidates,
 run a Python acceptance scan, for every shot — became the Monte-Carlo
-bottleneck.  This module decodes a whole chunk of shots at once and is
-certified *bit-identical* to :func:`repro.decoding.greedy
-.greedy_cut_parity` / :func:`greedy_decode_fast` on every input it
-accepts (anything else falls back to those functions, shot by shot):
+bottleneck.  This module decodes a whole chunk of shots at once into
+north-cut parities, certified *bit-identical* to
+:func:`repro.decoding.greedy.greedy_cut_parity` on every input it
+accepts (anything else falls back to the per-shot core, shot by shot):
 
-* **Bucketed distance builds** — shots are grouped by active-node count
-  ``n`` and gathered into ``(3, S, n)`` coordinate planes; pairwise and
-  boundary distances for the whole bucket come out of a handful of broadcast
-  ufunc passes (the ``int16`` fast path of
+* **Zero-clique compaction** — with a ``w_ano = 0`` region, the
+  zero-distance cliques of the per-shot core are exactly the nodes
+  *inside* the box (``to_box == 0``).  They pair off at weight 0 and
+  never cross the north cut, so they are dropped before anything else
+  runs; an odd shot keeps its last in-box node.
+
+* **Level-1 pass** — every distance-1 candidate comes from lattice
+  adjacency (a cell grid of node ids) and the box geometry (a shot's
+  leftover in-box node with the nodes one step from its box), with no
+  ``(S, n, n)`` tensor.  One acceptance settles that level, and only
+  the still-unmatched nodes — a small fraction at Fig. 8 densities — go
+  on to the bucketed dense build for distances >= 2.
+
+* **Bucketed distance builds** — the survivors are grouped by
+  active-node count ``n`` and gathered into ``(3, S, n)`` coordinate
+  planes; pairwise and boundary distances for the whole bucket come out
+  of a handful of broadcast ufunc passes (the ``int16`` fast path of
   :meth:`DistanceModel.pairwise_int` generalized to the batch axis,
-  dropping to ``int8`` when the coordinate spans allow).
-
-* **Chunk-global candidate generation** — every bucket appends its
-  surviving pair/boundary candidates (node ids offset per shot) to flat
-  arrays; one stable distance sort orders the whole chunk.  Candidates
-  of different shots never interact, so only the *within-shot* order
-  matters, which the flattened sort preserves exactly.
+  dropping to ``int8`` when the coordinate spans allow).  Each bucket
+  appends its kept candidates (node ids offset per shot) to per-level
+  lists.  Candidates of different shots never interact, so only the
+  *within-shot* order matters, which the level split preserves exactly.
 
 * **Vectorized acceptance** — the sequential distance-ordered scan is
-  replaced by its round-based fixpoint: per distance level, accept every
-  candidate that is the earliest remaining candidate of *all* its
-  endpoints, drop candidates touching matched nodes, repeat.  Each
-  round's "earliest incident candidate" map is one reversed scatter;
-  the result is provably the sequential greedy matching (the earliest
-  remaining candidate always wins in both formulations), with zero
-  per-shot NumPy calls and no Python acceptance loop.
+  replaced by its round-based fixpoint, the parallel greedy matching of
+  Blelloch, Fineman & Shun (https://arxiv.org/abs/1202.3205): per
+  distance level, accept every candidate that is the earliest remaining
+  candidate of *all* its endpoints, drop candidates touching matched
+  nodes, and repeat until none is left.  Each round's "earliest
+  incident candidate" map is one reversed scatter; the result is the
+  sequential greedy matching (the earliest remaining candidate always
+  wins in both formulations), with no per-shot NumPy calls and no
+  Python acceptance loop.
 
 * **Scratch arenas** — every bucket-shaped temporary (coordinate planes,
-  distance/threshold/keep tensors, the endpoint maps, the level-1 cell
-  grid) comes from a grow-only :class:`ScratchArena` keyed on buffer
-  role, so steady-state chunks allocate nothing.
-
-* **Zero-clique prematching** — with a ``w_ano = 0`` region, the
-  zero-distance cliques of the per-shot core are exactly the nodes
-  *inside* the box (``to_box == 0``): the O(n^2) zero-matrix pass of the
-  per-shot path collapses to an O(n) mask and a parity trick.
-
-* **Level-1 pass** — in parity mode, after the zero-clique compaction,
-  every distance-1 candidate comes from lattice adjacency (a cell grid
-  of node ids) and the box geometry (a shot's leftover in-box node with
-  the nodes one step from its box), with no ``(S, n, n)`` tensor.  One
-  acceptance settles that level, and only the still-unmatched nodes —
-  a small fraction at Fig. 8 densities — go on to the bucketed dense
-  build for distances >= 2.
+  distance/keep tensors, the endpoint maps, the level-1 cell grid)
+  comes from a grow-only :class:`ScratchArena` keyed on buffer role, so
+  steady-state chunks allocate nothing.
 
 Every phase keeps the per-shot core's candidate order (pairs in
 row-major order before boundaries, per distance level): dropping
@@ -60,11 +59,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.decoding.decoder_base import DecodeResult, Match
-from repro.decoding.greedy import (_greedy_fast_core, _upper_mask,
-                                   greedy_decode_fast)
-from repro.decoding.weights import (NORTH, SOUTH, DistanceModel,
-                                    MultiRegionDistanceModel,
+from repro.decoding.greedy import _greedy_fast_core, _upper_mask
+from repro.decoding.weights import (DistanceModel, MultiRegionDistanceModel,
                                     region_signature)
 
 #: Per-bucket element budget of the float fallback tier's ``(S, n, n)``
@@ -78,11 +74,6 @@ INT_LIMIT = 2000
 #: Per-bucket element budget for the ``(S, n, n)`` tensors: buckets are
 #: split so the distance/keep scratch stays cache-resident.
 BUCKET_ELEMENT_BUDGET = 1 << 21
-
-#: Below this many surviving candidates a distance level finishes on a
-#: sequential set-scan instead of more vectorized rounds: tie chains
-#: shrink slowly under rounds, and at this size the plain scan wins.
-_SCAN_TAIL = 3 << 12
 
 
 class ScratchArena:
@@ -207,12 +198,13 @@ def _parity_prepass(d: int, allc: np.ndarray, ns: np.ndarray,
                     offs: np.ndarray, has: np.ndarray, bounds: np.ndarray,
                     open_w: np.ndarray, tmax_shot, parities: np.ndarray,
                     arena: ScratchArena) -> tuple:
-    """Settle what parity mode can without dense tensors.
+    """Settle what the engine can without dense tensors.
 
     Zero-clique compaction first: with w_ano = 0 the in-box nodes pair
     off at distance zero — weight 0, node-node, no boundary — so the
     north-cut parity never sees them, and an odd shot's last in-box
-    node stays free, exactly as the in-tensor prematch leaves it.  Then
+    node stays free, exactly as the per-shot core's clique pairing
+    leaves it.  Afterwards a shot holds at most one in-box node.  Then
     :func:`_settle_level_one` accepts distance 1.  Both drop nodes and
     keep the rest in their relative order, which preserves the per-shot
     core's candidate order among the survivors.
@@ -331,42 +323,37 @@ def _settle_level_one(d: int, shot_of: np.ndarray, t: np.ndarray,
     bnd = np.flatnonzero(np.minimum(north, south) == 1)
     matched = arena.take("matched", N, bool)
     matched[:] = False
-    north_ids, _ = _accept(
-        [(1, lo[order].astype(np.int32), hi[order].astype(np.int32),
+    north_ids = _accept(
+        [(lo[order].astype(np.int32), hi[order].astype(np.int32),
           bnd.astype(np.int32), north[bnd] <= south[bnd])],
-        matched, arena, False)
+        matched, arena)
     parities ^= (np.bincount(shot_of[north_ids], minlength=S_all)
                  & 1).astype(np.int8)
     return np.flatnonzero(~matched)
 
 
 def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
-                   collect: bool, allc: np.ndarray, regions=None):
+                   allc: np.ndarray, regions=None) -> np.ndarray:
     """Bucketed decode of pre-screened (eligible, nonempty) shots.
 
     ``regions`` optionally carries one region (or ``None``) per shot —
     the region-aware path of the end-to-end kernels, where every shot's
     strike landed somewhere else.  When omitted, every shot shares
-    ``model.region`` exactly as before.  Shots are bucketed by
-    (has-region, active-node count) and all region geometry — box
-    clips, via folds, boundary detours, zero cliques — is evaluated
-    from per-shot bound vectors broadcast over the bucket tensors, so
-    mixed-region chunks batch as well as shared-region ones.  Parity
-    mode buckets only the nodes :func:`_parity_prepass` leaves
-    unmatched.
+    ``model.region``.  :func:`_parity_prepass` settles distances 0 and
+    1; the nodes it leaves unmatched are bucketed by (has-region,
+    active-node count), and all region geometry — box clips, via folds,
+    boundary detours — is evaluated from per-shot bound vectors
+    broadcast over the bucket tensors, so mixed-region chunks batch as
+    well as shared-region ones.
 
-    Returns ``(parities, accepted)`` where ``parities`` is the ``(S,)``
-    int8 north-cut parities and ``accepted`` (collect mode only) the
-    per-shot ``[(a, b, w), ...]`` acceptance lists in the exact order of
-    the per-shot reference core.
+    Returns the ``(S,)`` int8 north-cut parities.
     """
     S_all = len(nodes_list)
     parities = np.zeros(S_all, dtype=np.int8)
     ns = np.fromiter((len(x) for x in nodes_list), dtype=np.int64,
                      count=S_all)
-    pre_pairs: list = [[] for _ in range(S_all)] if collect else None
     if not len(allc):
-        return parities, pre_pairs
+        return parities
 
     d = model.distance
     cmax = int(allc.max(initial=0))  # allc: callers' eligibility concat
@@ -396,22 +383,18 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             open_w[s] = opn
 
     # Per-shot t_max over the *full* node set (open-window box tops must
-    # not move when the parity prepass below drops nodes).
+    # not move when the prepass below drops nodes).
     tmax_shot = None
     if open_w.any():
         tmax_shot = np.maximum.reduceat(
             allc[:, 0].astype(np.int64), offs[:-1])
         tmax_shot[ns == 0] = 0  # reduceat reads across empty shots
 
-    # Collect mode keeps every node: the in-tensor prematch and the full
-    # dense build reproduce the reference acceptance lists.
-    flat = allc
-    if not collect:
-        flat, ns = _parity_prepass(d, allc, ns, offs, has, bounds, open_w,
-                                   tmax_shot, parities, arena)
-        if not len(flat):
-            return parities, None
-        np.cumsum(ns, out=offs[1:])
+    rest, ns = _parity_prepass(d, allc, ns, offs, has, bounds, open_w,
+                               tmax_shot, parities, arena)
+    if not len(rest):
+        return parities
+    np.cumsum(ns, out=offs[1:])
     nmax = int(ns.max())
 
     mag = max(cmax, d)
@@ -423,7 +406,7 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     # the narrowest integer dtype that holds them.
     dd = np.int8 if 6 * mag + 8 <= 126 else np.int16
     # Coordinate rows the bucket tensors gather from.
-    coords = np.ascontiguousarray(flat.T, dtype=dd)
+    coords = np.ascontiguousarray(rest.T, dtype=dd)
 
     # has-region shots sort after region-free ones, so every bucket is
     # homogeneous in "carries a box" and the region math never touches
@@ -432,14 +415,11 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     matched = arena.take("matched", S_all * nmax, bool)
     matched[:] = False
 
-    # Candidates accumulate pre-split by distance level (boundary
-    # distances are bounded by ~d/2, so levels are few and the bucket
-    # -local splits run on cache-hot arrays); models with a wide
-    # distance range collect flat and sort once in :func:`_accept`.
-    split_levels = d <= 64
+    # Candidates accumulate pre-split by distance level, bucket by
+    # bucket on cache-hot arrays.  A kept pair is never longer than the
+    # boundary distance of either endpoint, so a bucket's levels stop at
+    # its largest boundary distance (bounded by ~d/2).
     by_level: dict = {}
-    p_ga, p_gb, p_d = [], [], []
-    b_ga, b_d, b_north = [], [], []
 
     def _level(lv):
         got = by_level.get(lv)
@@ -487,7 +467,6 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             dist += tmp
 
             base = ids.astype(np.int32) * np.int32(nmax)
-            pre = None
             north = i + dd(1)
             south = dd(d - 1) - i
             if boxed:
@@ -520,41 +499,13 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
                 np.minimum(dist, tmp, out=dist)
                 np.minimum(north, to_box + (lo1_b + dd(1)), out=north)
                 np.minimum(south, to_box + (dd(d - 1) - rhi_b), out=south)
-                # Zero-clique prematch: with w_ano = 0 the distance-zero
-                # cliques are exactly the in-box nodes; pair them off in
-                # index order (the per-shot core's clique pairing) and
-                # leave an odd shot's last in-box node free.
-                inbox = to_box == 0
-                cnt = inbox.sum(axis=1)
-                if cnt.max(initial=0) > 1:
-                    pre = inbox
-                    odd = np.flatnonzero(cnt % 2 == 1)
-                    if len(odd):
-                        last = n - 1 - np.argmax(inbox[odd, ::-1], axis=1)
-                        pre[odd, last] = False
-                    matched[(base[:, None]
-                             + np.arange(n, dtype=np.int32))[pre]] = True
-                    if collect:
-                        for q in np.flatnonzero(pre.any(axis=1)):
-                            members = np.flatnonzero(pre[q]).tolist()
-                            pre_pairs[ids[q]] = [
-                                (members[c], members[c + 1], 0.0)
-                                for c in range(0, len(members), 2)]
             bdist = np.minimum(north, south)
-            northf = north <= south
-            if pre is not None:
-                # Prematched nodes take threshold -1: every incident
-                # pair fails ``dist <= min(thr)`` — the free-mask of the
-                # per-shot core without two O(S n^2) AND passes.
-                thr = np.where(pre, dd(-1), bdist)
-            else:
-                thr = bdist
 
             sz8 = -8 * (-sz // 8)
             keep_flat = arena.take("keep", sz8, bool)
             keep_flat[sz:] = False
             keep = keep_flat[:sz].reshape(S, n, n)
-            np.minimum(thr[:, :, None], thr[:, None, :], out=tmp)
+            np.minimum(bdist[:, :, None], bdist[:, None, :], out=tmp)
             np.less_equal(dist, tmp, out=keep)
             keep &= _upper_mask(n)
             # Two-stage sparse scan: find nonzero 8-byte words first,
@@ -576,140 +527,73 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             pga = gbase + pi
             pgb = gbase + pj
             pdv = dist.ravel()[flat]
-            if pre is not None:
-                bs, ba = np.nonzero(~pre)
-                bga = base[bs] + ba.astype(np.int32)
-                bdv = bdist[bs, ba]
-                bnf = northf[bs, ba]
-            else:
-                bga = (base[:, None]
-                       + np.arange(n, dtype=np.int32)).ravel()
-                bdv = bdist.ravel()
-                bnf = northf.ravel()
-            if split_levels:
-                lmax_b = int(bdv.max(initial=0))
-                for lv in range(lmax_b + 1):
-                    slot = None
-                    sel = np.flatnonzero(pdv == lv)
-                    if len(sel):
-                        slot = _level(lv)
-                        slot[0].append(pga[sel])
-                        slot[1].append(pgb[sel])
-                    bsel = np.flatnonzero(bdv == lv)
-                    if len(bsel):
-                        slot = _level(lv) if slot is None else slot
-                        slot[2].append(bga[bsel])
-                        slot[3].append(bnf[bsel])
-            else:
-                p_ga.append(pga)
-                p_gb.append(pgb)
-                p_d.append(pdv)
-                b_ga.append(bga)
-                b_d.append(bdv)
-                b_north.append(bnf)
+            bga = (base[:, None] + np.arange(n, dtype=np.int32)).ravel()
+            bdv = bdist.ravel()
+            bnf = (north <= south).ravel()
+            for lv in range(int(bdv.max()) + 1):
+                slot = None
+                sel = np.flatnonzero(pdv == lv)
+                if len(sel):
+                    slot = _level(lv)
+                    slot[0].append(pga[sel])
+                    slot[1].append(pgb[sel])
+                bsel = np.flatnonzero(bdv == lv)
+                if len(bsel):
+                    slot = _level(lv) if slot is None else slot
+                    slot[2].append(bga[bsel])
+                    slot[3].append(bnf[bsel])
         k = k2
 
     cat = np.concatenate
     z32 = np.zeros(0, np.int32)
-    zb = np.zeros(0, bool)
-    if split_levels:
-        levels = []
-        for lv in sorted(by_level):
-            pl_a, pl_b, bl_a, bl_n = by_level[lv]
-            levels.append((lv,
-                           cat(pl_a) if pl_a else z32,
-                           cat(pl_b) if pl_b else z32,
-                           cat(bl_a) if bl_a else z32,
-                           cat(bl_n) if bl_n else zb))
-    else:  # wide distance range: one stable sort, then level slices
-        p_ga = cat(p_ga) if p_ga else z32
-        p_gb = cat(p_gb) if p_gb else z32
-        p_d = cat(p_d) if p_d else np.zeros(0, dd)
-        b_ga = cat(b_ga) if b_ga else z32
-        b_d = cat(b_d) if b_d else np.zeros(0, dd)
-        b_north = cat(b_north) if b_north else zb
-        p_order = np.argsort(p_d, kind="stable")
-        b_order = np.argsort(b_d, kind="stable")
-        pd_sorted = p_d[p_order]
-        bd_sorted = b_d[b_order]
-        levels = []
-        for lv in np.union1d(pd_sorted, bd_sorted).tolist():
-            plo, phi = np.searchsorted(pd_sorted, [lv, lv + 1])
-            blo, bhi = np.searchsorted(bd_sorted, [lv, lv + 1])
-            psel = p_order[plo:phi]
-            bsel = b_order[blo:bhi]
-            levels.append((int(lv), p_ga[psel], p_gb[psel],
-                           b_ga[bsel], b_north[bsel]))
+    levels = []
+    for lv in sorted(by_level):
+        pl_a, pl_b, bl_a, bl_n = by_level[lv]
+        levels.append((cat(pl_a) if pl_a else z32,
+                       cat(pl_b) if pl_b else z32,
+                       cat(bl_a) if bl_a else z32,
+                       cat(bl_n) if bl_n else np.zeros(0, bool)))
 
-    north_ids, accepted = _accept(levels, matched, arena, collect)
+    north_ids = _accept(levels, matched, arena)
     parities ^= (np.bincount(north_ids // np.int32(nmax), minlength=S_all)
                  & 1).astype(np.int8)
-    if not collect:
-        return parities, None
-
-    # Assemble per-shot acceptance lists: prematched zero pairs first,
-    # then accepted candidates by (level, within-level position) — the
-    # per-shot core's exact ordering.
-    acc_ga, acc_b, acc_lvl, acc_idx = accepted
-    shot = acc_ga // np.int32(nmax)
-    local = acc_ga - shot * np.int32(nmax)
-    order = np.lexsort((acc_idx, acc_lvl, shot))
-    shot_l = shot[order].tolist()
-    a_l = local[order].tolist()
-    b_l = np.where(acc_b >= 0, acc_b % nmax, acc_b)[order].tolist()
-    w_l = acc_lvl[order].tolist()
-    out_lists = pre_pairs
-    for s, a, b, w in zip(shot_l, a_l, b_l, w_l, strict=True):
-        out_lists[s].append((a, b, float(w)))
-    return parities, out_lists
+    return parities
 
 
-def _accept(levels, matched, arena, collect):
+def _accept(levels, matched, arena) -> np.ndarray:
     """Level-wise round-based acceptance over flattened candidates.
 
-    ``levels`` holds ``(lv, pair_ga, pair_gb, bnd_ga, bnd_north)``
-    tuples ascending in distance; within a level pairs precede
-    boundaries and both keep generation (row-major) order — exactly the
-    stable distance sort of the per-shot core.  Node ids index
-    ``matched``, which marks every accepted endpoint.
-    Returns ``(north_ids, accepted)``: the ids of the nodes accepted
-    onto the north boundary and, in collect mode only, the accepted
-    candidates as flat arrays ``(gid_a, b_code, level, idx)`` with
-    ``b_code`` the partner node's id or the boundary side constant.
+    ``levels`` holds ``(pair_ga, pair_gb, bnd_ga, bnd_north)`` tuples
+    ascending in distance; within a level pairs precede boundaries and
+    both keep generation (row-major) order — exactly the stable distance
+    sort of the per-shot core.  Node ids index ``matched``, which marks
+    every accepted endpoint.  Each level runs rounds until no candidate
+    is left; every round accepts at least the level's earliest remaining
+    candidate.  Returns the ids of the nodes accepted onto the north
+    boundary.
     """
     first = arena.take("first", len(matched), np.int32)
     first[:] = -1
     stamp = 0  # monotone position base: stale scatters never re-match
     north_gids: list = []
-    acc_out = ([], [], [], []) if collect else None
 
-    for lv, ga_p, gb_p, ga_b, nof_b in levels:
-        npair, nbnd = len(ga_p), len(ga_b)
-        if not npair + nbnd:
-            continue
+    for ga_p, gb_p, ga_b, nof_b in levels:
         # Entry filter before the concat: candidates whose endpoints
         # matched at an earlier level are dead on arrival (the bulk, at
         # high levels) and never enter the round arrays.
         alive_p = ~matched[ga_p]
         alive_p &= ~matched[gb_p]
         alive_b = ~matched[ga_b]
-        if collect:
-            idx0 = np.concatenate([
-                np.arange(npair, dtype=np.int64)[alive_p],
-                (npair + np.arange(nbnd, dtype=np.int64))[alive_b]])
-            bcode = np.concatenate([
-                gb_p[alive_p].astype(np.int64),
-                np.where(nof_b[alive_b], NORTH, SOUTH).astype(np.int64)])
-        ga_p, gb_p = ga_p[alive_p], gb_p[alive_p]
+        ga_p = ga_p[alive_p]
         ga_b = ga_b[alive_b]
         ga = np.concatenate([ga_p, ga_b])
         # Boundary candidates are self-loops: the acceptance test
         # ``first[ga] == pos == first[gb]`` then degenerates to "no
         # earlier remaining candidate touches this node".
-        gb = np.concatenate([gb_p, ga_b])
+        gb = np.concatenate([gb_p[alive_p], ga_b])
         nof = np.concatenate([np.zeros(len(ga_p), dtype=bool),
                               nof_b[alive_b]])
-        while len(ga) > _SCAN_TAIL:
+        while len(ga):
             m = len(ga)
             if stamp > 2**31 - 2 - 2 * m:  # stamp wrap: hard reset
                 first[:] = -1
@@ -732,55 +616,12 @@ def _accept(levels, matched, arena, collect):
             accn = acc & nof
             if accn.any():
                 north_gids.append(ga[accn])
-            if collect and acc.any():
-                acc_out[0].append(ga[acc])
-                acc_out[1].append(bcode[acc])
-                acc_out[2].append(np.full(int(acc.sum()), lv,
-                                          dtype=np.int64))
-                acc_out[3].append(idx0[acc])
             alive = ~matched[ga]
             alive &= ~matched[gb]
             ga, gb, nof = ga[alive], gb[alive], nof[alive]
-            if collect:
-                bcode, idx0 = bcode[alive], idx0[alive]
-        if len(ga):
-            # Sequential finish for the tie-chain tail: every surviving
-            # endpoint is unmatched and shots never share nodes, so one
-            # in-array-order scan equals the per-shot greedy acceptance
-            # exactly (only within-shot relative order matters).
-            taken: set = set()
-            add = taken.add
-            acc_list = []
-            for k, (a, b) in enumerate(zip(ga.tolist(), gb.tolist(), strict=True)):
-                if a in taken or b in taken:
-                    continue
-                add(a)
-                add(b)
-                acc_list.append(k)
-            if acc_list:
-                acc_idx = np.array(acc_list, dtype=np.int64)
-                matched[ga[acc_idx]] = True
-                matched[gb[acc_idx]] = True
-                accn = acc_idx[nof[acc_idx]]
-                if len(accn):
-                    north_gids.append(ga[accn])
-                if collect:
-                    acc_out[0].append(ga[acc_idx])
-                    acc_out[1].append(bcode[acc_idx])
-                    acc_out[2].append(np.full(len(acc_idx), lv,
-                                              dtype=np.int64))
-                    acc_out[3].append(idx0[acc_idx])
 
-    north_ids = (np.concatenate(north_gids) if north_gids
-                 else np.zeros(0, np.int32))
-    if not collect:
-        return north_ids, None
-    z64 = np.zeros(0, np.int64)
-    return north_ids, (
-        np.concatenate(acc_out[0]) if acc_out[0] else np.zeros(0, np.int32),
-        np.concatenate(acc_out[1]) if acc_out[1] else z64,
-        np.concatenate(acc_out[2]) if acc_out[2] else z64,
-        np.concatenate(acc_out[3]) if acc_out[3] else z64)
+    return (np.concatenate(north_gids) if north_gids
+            else np.zeros(0, np.int32))
 
 
 # ----------------------------------------------------------------------
@@ -806,7 +647,7 @@ def batched_cut_parities(model: DistanceModel, nodes_list: list,
     allc = np.concatenate(sub_nodes)
     if (_chunk_eligible(model, allc)
             and len(sub_nodes) * max(map(len, sub_nodes)) < 2**31):
-        parities, _ = _decode_engine(model, sub_nodes, arena, False, allc)
+        parities = _decode_engine(model, sub_nodes, arena, allc)
     elif model.region is not None and model.w_ano != 0.0:
         # Weighted region: the per-shot core always takes the float
         # pairwise/boundary path here, so batching those builds through
@@ -937,9 +778,8 @@ def batched_region_cut_parities(distance: int, regions: list,
             and all(r is None or _region_ok(distance, r)
                     for r in sub_regs)
             and len(sub_nodes) * max(map(len, sub_nodes)) < 2**31):
-        parities, _ = _decode_engine(DistanceModel(distance), sub_nodes,
-                                     arena, False, allc, regions=sub_regs)
-        out[sub_idx] = parities
+        out[sub_idx] = _decode_engine(DistanceModel(distance), sub_nodes,
+                                      arena, allc, regions=sub_regs)
         return out
 
     groups: dict = {}
@@ -969,55 +809,3 @@ def streaming_cut_parity(distance: int, region, nodes: np.ndarray,
     """
     return int(batched_region_cut_parities(distance, [region], [nodes],
                                            w_ano, arena=arena)[0])
-
-
-def batched_decode(model: DistanceModel, nodes_list: list,
-                   arena: Optional[ScratchArena] = None
-                   ) -> list[DecodeResult]:
-    """Full :class:`DecodeResult` per shot, batched.
-
-    Certified equal — match lists, order and weights — to
-    ``[greedy_decode_fast(model, nodes) for nodes in nodes_list]``.
-    Used by the equivalence suite; campaigns consume
-    :func:`batched_cut_parities` instead.
-    """
-    S = len(nodes_list)
-    if arena is None:
-        arena = ScratchArena()
-    results: list = [None] * S
-    sub_nodes, sub_idx = [], []
-    for s, nodes in enumerate(nodes_list):
-        nodes = np.asarray(nodes)
-        if len(nodes) == 0:
-            results[s] = DecodeResult.from_matches([], 0.0)
-        else:
-            sub_nodes.append(nodes)
-            sub_idx.append(s)
-    if not sub_nodes:
-        return results
-
-    allc = np.concatenate(sub_nodes)
-    eligible = (_chunk_eligible(model, allc)
-                and len(sub_nodes) * max(map(len, sub_nodes)) < 2**31)
-    if eligible and model.region is not None:
-        # Match-list order around duplicate coordinates inside a region
-        # follows the per-shot core's clique grouping; parities agree
-        # either way, but exact list equality keeps those shots on the
-        # reference core.
-        for nodes in sub_nodes:
-            if len(np.unique(nodes, axis=0)) != len(nodes):
-                eligible = False
-                break
-    if not eligible:
-        for s, nodes in zip(sub_idx, sub_nodes, strict=True):
-            results[s] = greedy_decode_fast(model, nodes)
-        return results
-
-    _, accepted = _decode_engine(model, sub_nodes, arena, True, allc)
-    for s, acc in zip(sub_idx, accepted, strict=True):
-        matches = [Match(int(a), int(b)) for a, b, _ in acc]
-        weight = 0.0
-        for _, _, w in acc:
-            weight += w
-        results[s] = DecodeResult.from_matches(matches, weight)
-    return results

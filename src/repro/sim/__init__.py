@@ -1,6 +1,5 @@
 """Monte-Carlo experiment drivers for the paper's evaluations."""
 
-from repro.sim import backend
 from repro.sim.montecarlo import BinomialEstimate, wilson_interval
 from repro.sim.memory import MemoryExperiment, LogicalErrorEstimate
 from repro.sim.detection import (
@@ -18,7 +17,6 @@ from repro.sim.batch import (
 from repro.sim import bitops
 
 __all__ = [
-    "backend",
     "bitops",
     "DetectionShotKernel",
     "EndToEndShotKernel",

@@ -5,10 +5,10 @@ story — ``sample → extract → detect → decode → accumulate`` — but un
 this module existed each beat lived as a branch inside a kernel method,
 so none of them could be exercised (or replaced) on its own.  Here each
 beat is a :class:`Stage` object: a :class:`ShotPipeline` threads one
-immutable :class:`StageContext` (RNG stream, scratch arena,
-array-backend handle) and one mutable :class:`StageState` through the
-stages in order, and the kernels' ``run_batch_packed`` entry point is
-nothing but a pipeline run.  The staged kernels are certified
+immutable :class:`StageContext` (RNG stream, scratch arena) and one
+mutable :class:`StageState` through the stages in order, and the
+kernels' ``run_batch_packed`` entry point is nothing but a pipeline
+run.  The staged kernels are certified
 bit-identical per ``(seed, batch_size)`` to the pre-seam paths
 (``tests/test_stages.py`` pins pre-refactor golden outcomes), because
 every stage body is the kernel code moved verbatim — the seam changes
@@ -39,15 +39,13 @@ tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import ModuleType
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.decoding.batched import ScratchArena, batched_region_cut_parities
 from repro.noise.models import AnomalousRegion, build_anomalous_masks
-from repro.sim import backend as _backend_module
 from repro.sim import bitops
 
 
@@ -64,15 +62,11 @@ class StageContext:
             partial runs that start after the sample stage (e.g. the
             decode-stage bench feeding a pre-sampled chunk in).
         arena: the kernel's grow-only scratch arena for batched decode.
-        backend: the array-backend seam handle
-            (:mod:`repro.sim.backend`); carried so stages never import
-            a backend behind the seam's back.
     """
 
     shots: int
     rng: Optional[np.random.Generator] = None
     arena: Optional[ScratchArena] = None
-    backend: ModuleType = field(default=_backend_module)
 
 
 class StageState:

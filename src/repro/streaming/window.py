@@ -8,17 +8,13 @@ per-node count updated add-newest / subtract-oldest.  Both computations
 are plain integer arithmetic over the same 0/1 layers, so after every
 push the live counts equal the offline windowed sums **bit for bit** —
 the invariant the offline≡streaming equivalence suite certifies.
-
-Arrays route through the :mod:`repro.sim.backend` seam (this module is
-registered for reprolint's RL002 backend-purity rule), so the window
-runs unchanged on the CuPy backend.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.sim import backend
+import numpy as np
 
 
 class RoundWindow:
@@ -40,12 +36,11 @@ class RoundWindow:
     def __init__(self, c_win: int, shape: tuple[int, int]):
         if c_win < 1:
             raise ValueError("c_win must be >= 1")
-        xp = backend.xp
         self.c_win = c_win
         self.shape = tuple(shape)
-        self._ring = xp.zeros((c_win,) + self.shape, dtype=xp.int32)
+        self._ring = np.zeros((c_win,) + self.shape, dtype=np.int32)
         #: Running per-node count over the live window (int32, exact).
-        self.counts = xp.zeros(self.shape, dtype=xp.int32)
+        self.counts = np.zeros(self.shape, dtype=np.int32)
         self._next = 0
         self.rounds = 0
         self.peak_live_rounds = 0
@@ -74,8 +69,7 @@ class RoundWindow:
         ``min(rounds, c_win)`` layers — equal to the offline cumsum
         window ending at this round.
         """
-        xp = backend.get_array_module(self.counts)
-        layer = xp.asarray(activity, dtype=xp.int32)
+        layer = np.asarray(activity, dtype=np.int32)
         if layer.shape != self.shape:
             raise ValueError(
                 f"activity layer shape {layer.shape} != {self.shape}")

@@ -6,6 +6,6 @@ from os import getenv
 
 def sneaky_knobs():
     workers = int(os.environ.get("REPRO_WORKERS", "0"))   # RL003
-    backend = os.getenv("REPRO_BACKEND", "numpy")         # RL003
+    samples = os.getenv("REPRO_SAMPLES", "200")           # RL003
     scale = getenv("REPRO_SCALE")                         # RL003 (import)
-    return workers, backend, scale
+    return workers, samples, scale

@@ -13,5 +13,5 @@ def workers(default: int = 0) -> int:
     return max(0, int(os.environ.get(ENV_WORKERS, default)))
 
 
-def backend(default: str = "numpy") -> str:
-    return os.getenv("REPRO_BACKEND", default).strip().lower()
+def samples(default: str = "200") -> str:
+    return os.getenv("REPRO_SAMPLES", default).strip()

@@ -571,9 +571,9 @@ class TestResults:
         assert prov.spec_hash == campaigns.spec_hash(spec)
         assert prov.kind == "memory"
         assert prov.seed == 4
-        assert prov.backend == "numpy"
         assert prov.executor == "inline"
         assert "packing" not in prov.to_dict()
+        assert "backend" not in prov.to_dict()
         assert prov.batch_size == 16
         assert prov.chunks == 3
         assert prov.resumed_chunks == 0

@@ -21,7 +21,7 @@ def cb():
 
 
 def _doc(**sections):
-    env = {"samples": 200, "scale": 1.0, "workers": 1, "backend": "numpy"}
+    env = {"samples": 200, "scale": 1.0, "workers": 1}
     return {"bench": "batch",
             "sections": {name: dict(payload, env=dict(env))
                          for name, payload in sections.items()}}
@@ -141,6 +141,17 @@ class TestCompare:
         assert any("env mismatch" in n for n in notes)
         regs, _, _ = cb.compare(fresh, base, ignore_env=True)
         assert len(regs) == 1
+
+    def test_retired_backend_key_still_compares(self, cb):
+        """Committed sections still record ``env.backend``; fresh runs no
+        longer write it.  The extra baseline key must not skip the
+        section, or bench-compare would pass having compared nothing."""
+        base = _doc(decode_stage={"throughput_ratio": 3.2})
+        base["sections"]["decode_stage"]["env"]["backend"] = "numpy"
+        fresh = _doc(decode_stage={"throughput_ratio": 1.0})
+        regs, _, notes = cb.compare(fresh, base)
+        assert len(regs) == 1 and "throughput_ratio" in regs[0]
+        assert not any("env mismatch" in n for n in notes)
 
     def test_missing_and_new_sections_noted(self, cb):
         base = _doc(decode_stage={"throughput_ratio": 3.2})

@@ -11,12 +11,10 @@ from repro.campaigns.cli import main, parse_executor
 
 class TestConfig:
     def test_documented_defaults(self, monkeypatch):
-        for var in (config.ENV_WORKERS, config.ENV_BACKEND,
-                    config.ENV_SAMPLES, config.ENV_SCALE, config.ENV_JSON,
-                    config.ENV_JSON_DIR):
+        for var in (config.ENV_WORKERS, config.ENV_SAMPLES,
+                    config.ENV_SCALE, config.ENV_JSON, config.ENV_JSON_DIR):
             monkeypatch.delenv(var, raising=False)
         assert config.workers() == 0
-        assert config.backend() == "numpy"
         assert config.samples() == 200
         assert config.scale() == 1.0
         assert config.json_enabled()
@@ -35,12 +33,6 @@ class TestConfig:
         monkeypatch.setenv(config.ENV_SCALE, "2.5")
         assert config.samples() == 250
         assert config.scale() == 2.5
-
-    def test_backend_normalized(self, monkeypatch):
-        monkeypatch.setenv(config.ENV_BACKEND, "  CuPy ")
-        assert config.backend() == "cupy"
-        monkeypatch.setenv(config.ENV_BACKEND, "")
-        assert config.backend() == "numpy"
 
     def test_json_knobs(self, monkeypatch):
         monkeypatch.setenv(config.ENV_JSON, "off")
@@ -74,8 +66,8 @@ class TestConfig:
 
     def test_snapshot_keys(self):
         snap = config.snapshot()
-        assert set(snap) == {"workers", "backend", "samples", "scale",
-                             "json", "checkpoint_fsync", "service_port",
+        assert set(snap) == {"workers", "samples", "scale", "json",
+                             "checkpoint_fsync", "service_port",
                              "service_threads", "service_executor"}
 
 

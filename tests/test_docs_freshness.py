@@ -28,6 +28,32 @@ def test_catalog_extraction_sees_every_scenario():
         == check_docs.registered_scenarios(ROOT)
 
 
+def test_knob_extraction_sees_every_env_constant():
+    assert check_docs.registered_knobs(ROOT) == {
+        "REPRO_WORKERS", "REPRO_SAMPLES", "REPRO_SCALE", "REPRO_JSON",
+        "REPRO_JSON_DIR", "REPRO_CHECKPOINT_FSYNC", "REPRO_SERVICE_PORT",
+        "REPRO_SERVICE_THREADS", "REPRO_SERVICE_EXECUTOR"}
+
+
+def test_knob_drift_is_detected(tmp_path, capsys):
+    (tmp_path / "src/repro/campaigns").mkdir(parents=True)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "src/repro/campaigns/cli.py").write_text(
+        'def build():\n    sub.add_parser("run")\n')
+    (tmp_path / "src/repro/config.py").write_text(
+        'ENV_WORKERS = "REPRO_WORKERS"\n')
+    (tmp_path / "README.md").write_text(
+        "Use `python -m repro run` with `REPRO_WORKERS=2`.\n")
+    # The bench README documents a knob config.py no longer defines.
+    (tmp_path / "benchmarks/README.md").write_text(
+        "| `REPRO_BACKEND` | `numpy` | array backend |\n")
+    assert check_docs.main(tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "benchmarks/README.md: documents `REPRO_BACKEND`" in out
+    assert "REPRO_WORKERS" not in out
+
+
 def test_catalog_drift_is_detected(tmp_path, capsys):
     (tmp_path / "src/repro/campaigns").mkdir(parents=True)
     (tmp_path / "src/repro/scenarios").mkdir()

@@ -191,7 +191,7 @@ class TestBatchedRegionCutParities:
                     got, _reference(d, regions, nodes_list, w_ano))
 
     def test_wide_distance_sort_path(self, rng):
-        d = 80  # beyond the level-split threshold of the engine
+        d = 80  # wide distances take the same per-bucket level split
         regions, nodes_list = _random_chunk(rng, d, 8, t_span=50)
         got = batched_region_cut_parities(d, regions, nodes_list, 0.0)
         assert np.array_equal(got, _reference(d, regions, nodes_list, 0.0))

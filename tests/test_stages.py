@@ -22,7 +22,7 @@ from repro.scenarios import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel, _windowed_over)
 from repro.sim.stages import ShotPipeline, Stage, StageContext, StageState
-from repro.sim import backend, bitops
+from repro.sim import bitops
 
 from reference_engines import reference_chunk
 
@@ -145,10 +145,6 @@ class TestPipelineStructure:
     def test_base_stage_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Stage().run(StageContext(shots=1), StageState())
-
-    def test_context_carries_backend_seam(self):
-        ctx = StageContext(shots=1)
-        assert ctx.backend is backend
 
     def test_context_is_frozen(self):
         ctx = StageContext(shots=1)

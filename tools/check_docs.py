@@ -13,6 +13,11 @@ The same discipline covers the scenario catalog: README's
 ``@register_scenario(...)`` in ``src/repro/scenarios/catalog.py`` —
 no ghosts, no omissions.
 
+And the environment knobs: every ``REPRO_*`` name in README.md,
+docs/*.md or benchmarks/README.md must be the value of an ``ENV_*``
+constant in ``src/repro/config.py``, the one module that reads them —
+a deleted knob may not live on in the docs.
+
 Run: ``python tools/check_docs.py`` (exit 1 on drift).
 """
 
@@ -23,6 +28,7 @@ from pathlib import Path
 
 CLI = Path("src/repro/campaigns/cli.py")
 CATALOG = Path("src/repro/scenarios/catalog.py")
+CONFIG = Path("src/repro/config.py")
 DOCS = ("README.md", "docs")
 
 #: ``python -m repro run|validate spec.json`` → ["run", "validate"].
@@ -30,6 +36,9 @@ MENTION = re.compile(r"python -m repro\s+([a-z0-9|-]+)")
 
 #: A catalog-table row: ``| `entry-name` | ... |``.
 TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9-]+)`\s*\|")
+
+#: An environment knob name: ``REPRO_SAMPLES``, ``REPRO_JSON_DIR``.
+KNOB = re.compile(r"REPRO_[A-Z][A-Z_]*")
 
 
 def registered_subcommands(root: Path) -> set:
@@ -117,6 +126,43 @@ def _catalog_problems(root: Path) -> list:
     return problems
 
 
+def registered_knobs(root: Path) -> set:
+    """Values of the ``ENV_* = "REPRO_..."`` constants in the config module."""
+    path = root / CONFIG
+    if not path.is_file():
+        return set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)
+                and any(isinstance(t, ast.Name) and t.id.startswith("ENV_")
+                        for t in node.targets)):
+            names.add(node.value.value)
+    return names
+
+
+def documented_knobs(root: Path):
+    """Every ``REPRO_*`` token in the docs, as (file, knob) pairs."""
+    paths = [root / "README.md"]
+    paths.extend(sorted((root / "docs").glob("*.md")))
+    paths.append(root / "benchmarks" / "README.md")
+    for path in paths:
+        if not path.is_file():
+            continue
+        for match in KNOB.finditer(path.read_text(encoding="utf-8")):
+            yield path.relative_to(root), match.group(0)
+
+
+def _knob_problems(root: Path) -> list:
+    real = registered_knobs(root)
+    return [f"{path}: documents `{name}`, which {CONFIG} does not define "
+            "as an ENV_* constant"
+            for path, name in sorted(set(documented_knobs(root)))
+            if name not in real]
+
+
 def main(root: Path = Path(__file__).resolve().parent.parent) -> int:
     real = registered_subcommands(root)
     if not real:
@@ -136,12 +182,14 @@ def main(root: Path = Path(__file__).resolve().parent.parent) -> int:
             f"README.md: subcommand `{name}` is registered in {CLI} "
             "but never shown as `python -m repro " + name + "`")
     problems.extend(_catalog_problems(root))
+    problems.extend(_knob_problems(root))
     for problem in problems:
         print(f"check_docs: {problem}")
     if not problems:
         scenarios = registered_scenarios(root)
         print(f"check_docs: clean ({len(real)} subcommands, "
               f"{len(scenarios)} catalog scenarios, "
+              f"{len(registered_knobs(root))} env knobs, "
               "README + docs/ in sync)")
     return 1 if problems else 0
 

@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
         description=("AST contract checker for the repo's "
-                     "reproducibility, seam-purity, and seed-discipline "
+                     "reproducibility, env-knob, and seed-discipline "
                      "invariants (see docs/CONTRACTS.md)"))
     parser.add_argument("paths", nargs="*",
                         help="files and/or directories to lint")

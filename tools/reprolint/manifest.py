@@ -1,23 +1,21 @@
 """The contract manifest: which files carry which structural contracts.
 
-``seam_manifest.toml`` (next to this module) is the repo's registration
-of seam-routed kernels (RL002) plus the small amount of per-rule
-configuration the other rules need: the env-knob owner file (RL003),
-the names of types the spec serializer knows how to JSON-ify (RL004),
-and the checkpoint-wire modules (RL005).  Tests point the engine at a
-corpus-local manifest instead, so the rules themselves stay free of
-hard-coded repo paths.
+``seam_manifest.toml`` (next to this module; the name is historical)
+holds the small amount of per-rule configuration the rules need: the
+env-knob owner file (RL003), the names of types the spec serializer
+knows how to JSON-ify (RL004), and the checkpoint-wire modules (RL005).
+Tests point the engine at a corpus-local manifest instead, so the rules
+themselves stay free of hard-coded repo paths.
 
 All paths are matched as *posix suffixes* of the linted file's path —
-``src/repro/sim/bitops.py`` matches whether the linter was launched
-from the repo root or handed an absolute path.
+``src/repro/config.py`` matches whether the linter was launched from
+the repo root or handed an absolute path.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -30,48 +28,13 @@ class ManifestError(ValueError):
 
 
 @dataclass(frozen=True)
-class SeamModule:
-    """One seam-routed module registration (RL002).
-
-    ``functions`` scopes the purity requirement: glob patterns over
-    function/method names whose bodies must reach arrays through the
-    backend handle (``["*"]`` covers the whole module, including
-    module-level code).  ``allow`` lists the NumPy attribute names the
-    module's *documented host fast path* may call directly — anything
-    else on a ``numpy`` alias inside scope is a finding.
-    """
-
-    path: str
-    functions: tuple[str, ...] = ("*",)
-    allow: frozenset = frozenset()
-    reason: str = ""
-
-    def matches_path(self, posix_path: str) -> bool:
-        return _suffix_match(posix_path, self.path)
-
-    @property
-    def whole_module(self) -> bool:
-        return "*" in self.functions
-
-    def scopes_function(self, name: str) -> bool:
-        return any(fnmatch.fnmatchcase(name, pat) for pat in self.functions)
-
-
-@dataclass(frozen=True)
 class Manifest:
     """Parsed manifest contents consumed by the rules."""
 
-    seam_modules: tuple[SeamModule, ...] = ()
     env_owners: tuple[str, ...] = ("src/repro/config.py",)
     json_convertible: frozenset = frozenset()
     wire_paths: tuple[str, ...] = ()
     source: Optional[Path] = None
-
-    def seam_module_for(self, posix_path: str) -> Optional[SeamModule]:
-        for module in self.seam_modules:
-            if module.matches_path(posix_path):
-                return module
-        return None
 
     def is_env_owner(self, posix_path: str) -> bool:
         return any(_suffix_match(posix_path, p) for p in self.env_owners)
@@ -107,21 +70,6 @@ def load_manifest(path=None) -> Manifest:
         raise ManifestError(f"manifest {path} is not valid TOML: {exc}") \
             from exc
 
-    modules = []
-    seam = doc.get("seam", {})
-    if not isinstance(seam, dict):
-        raise ManifestError("[seam] must be a table")
-    for pos, entry in enumerate(seam.get("modules", [])):
-        where = f"[[seam.modules]] #{pos + 1}"
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise ManifestError(f"{where} needs a 'path' key")
-        functions = _string_list(entry, "functions", where) or ["*"]
-        modules.append(SeamModule(
-            path=entry["path"],
-            functions=tuple(functions),
-            allow=frozenset(_string_list(entry, "allow", where)),
-            reason=str(entry.get("reason", ""))))
-
     rl003 = doc.get("rl003", {})
     owners = _string_list(rl003, "owners", "[rl003]") \
         or ["src/repro/config.py"]
@@ -131,7 +79,6 @@ def load_manifest(path=None) -> Manifest:
     wire = _string_list(rl005, "paths", "[rl005]")
 
     return Manifest(
-        seam_modules=tuple(modules),
         env_owners=tuple(owners),
         json_convertible=frozenset(convertible),
         wire_paths=tuple(wire),
