@@ -13,14 +13,28 @@
 import math
 import time
 
-import numpy as np
 import pytest
 
+from repro import campaigns
 from repro.arch.buffers import optimal_batch_cycles
-from repro.sim.endtoend import EndToEndExperiment
-from repro.sim.memory import logical_error_rate
 
 from _common import emit_json, mc_samples, mc_workers, print_table
+
+# Campaign seeds, int(np.random.default_rng(s).integers(2**63)) for
+# s = 31, 32 (decoder family), 7 (detected vs oracle) and 2 (smoke):
+# the values this bench's sections have always run at.
+GREEDY_SEED = 8330289625267613135
+MWPM_SEED = 1477979240785099646
+ENDTOEND_SEED = 5765488047046174021
+SMOKE_SEED = 2412946043537042528
+
+
+def _per_cycle(d, p, samples, decoder, seed, workers):
+    """One ``MemorySpec`` point's per-cycle logical error rate."""
+    spec = campaigns.MemorySpec(distance=d, p=p, samples=samples,
+                                decoder=decoder, seed=seed)
+    executor = campaigns.default_executor(workers)
+    return campaigns.run(spec, executor=executor).detail.per_cycle
 
 
 def total_buffer_bits(node_count: int, c_win: int, c_bat: int) -> float:
@@ -63,12 +77,10 @@ def bench_ablation_decoder_family(benchmark):
         start = time.perf_counter()
         rows = []
         for p in ps:
-            greedy = logical_error_rate(d, p, samples, decoder="greedy",
-                                        seed=31,
-                                        workers=mc_workers()).per_cycle
-            exact = logical_error_rate(d, p, samples, decoder="mwpm",
-                                       seed=32,
-                                       workers=mc_workers()).per_cycle
+            greedy = _per_cycle(d, p, samples, "greedy", GREEDY_SEED,
+                                mc_workers())
+            exact = _per_cycle(d, p, samples, "mwpm", MWPM_SEED,
+                               mc_workers())
             rows.append([p, greedy, exact])
         return rows, time.perf_counter() - start
 
@@ -94,13 +106,14 @@ def bench_ablation_decoder_family(benchmark):
 def bench_ablation_detected_vs_oracle(benchmark):
     """End-to-end: what does imperfect region estimation cost?"""
     shots = max(20, mc_samples() // 8)
-    exp = EndToEndExperiment(13, 0.005, anomaly_size=4, onset=120,
-                             cycles=300, c_win=80, n_th=8)
+    spec = campaigns.EndToEndSpec(distance=13, p=0.005, shots=shots,
+                                  anomaly_size=4, onset=120, cycles=300,
+                                  c_win=80, n_th=8, seed=ENDTOEND_SEED)
+    executor = campaigns.default_executor(mc_workers())
 
     def run():
         start = time.perf_counter()
-        out = exp.run(shots, np.random.default_rng(7),
-                      workers=mc_workers())
+        out = campaigns.run(spec, executor=executor).detail
         return out, time.perf_counter() - start
 
     res, wall = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -129,6 +142,7 @@ def smoke() -> None:
     """One tiny grid point (bench_smoke marker: import-rot guard)."""
     c_bat = optimal_batch_cycles(300)
     assert total_buffer_bits(100, 300, c_bat) > 0
-    est = logical_error_rate(5, 2e-2, 8, decoder="greedy", seed=2,
-                             workers=1)
+    spec = campaigns.MemorySpec(distance=5, p=2e-2, samples=8,
+                                seed=SMOKE_SEED)
+    est = campaigns.run(spec, executor=campaigns.default_executor(1)).detail
     assert est.samples == 8

@@ -1,7 +1,8 @@
 """Batched shot engine vs the sequential per-shot path.
 
 Times the Fig. 8 workload (the repo's heaviest Monte-Carlo hot path) at
-equal sample counts through the sequential engine and the bit-packed
+equal sample counts through a sequential per-shot loop (float sampling,
+per-shot extraction, the unpruned greedy decode) and the bit-packed
 batch engine, and prints the speedup table.  The acceptance bars: the
 batch engine pays for itself >= 5x over the sequential path; the
 bit-packed sampling + syndrome-extraction stage delivers >= 3x
@@ -35,12 +36,12 @@ from repro import campaigns
 from repro.campaigns.checkpoint import CheckpointStore
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion
-from repro.decoding.greedy import greedy_cut_parity
+from repro.decoding.greedy import GreedyDecoder, greedy_cut_parity
+from repro.decoding.weights import DistanceModel, relative_anomalous_weight
 from repro.noise.models import PACKED_SAMPLE_UNIFORMS, PhenomenologicalNoise
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import EndToEndShotKernel, MemoryShotKernel, chunk_plan
-from repro.sim.memory import MemoryExperiment
 
 from _common import emit_json, mc_samples, mc_workers, print_table, scale
 
@@ -61,14 +62,46 @@ def _points():
     return points
 
 
+def _sequential_failures(d: int, p: float, region, informed: bool,
+                         samples: int, rng) -> int:
+    """One grid point shot by shot: float sampling, per-shot node
+    extraction and the unpruned greedy decode, streamed from ``rng``."""
+    noise = PhenomenologicalNoise(d, p, Scenario.from_region(region))
+    lattice = SyndromeLattice(d)
+    if informed and region is not None:
+        model = DistanceModel(d, region, relative_anomalous_weight(p, 0.5))
+    else:
+        model = DistanceModel(d)
+    decoder = GreedyDecoder(model)
+    failures = 0
+    for _ in range(samples):
+        v, h, m = noise.sample(d, rng)
+        nodes = lattice.detection_events(v, h, m)
+        failures += (lattice.error_cut_parity(v)
+                     ^ decoder.decode(nodes).correction_cut_parity)
+    return failures
+
+
+def _sequential_campaign(samples: int) -> float:
+    """Wall clock of the whole grid through the per-shot loop."""
+    start = time.perf_counter()
+    for idx, (_, d, p, region, informed) in enumerate(_points()):
+        _sequential_failures(d, p, region, informed, samples,
+                             np.random.default_rng(idx))
+    return time.perf_counter() - start
+
+
 def _campaign(samples: int, workers: int) -> tuple[float, list[int]]:
+    """Wall clock and failure counts of the grid as ``MemorySpec``s."""
+    executor = campaigns.default_executor(workers)
     start = time.perf_counter()
     failures = []
     for idx, (_, d, p, region, informed) in enumerate(_points()):
-        exp = MemoryExperiment(d, p, region=region, informed=informed)
-        est = exp.run(samples, np.random.default_rng(idx),
-                      workers=workers, seed=idx)
-        failures.append(est.failures)
+        spec = campaigns.MemorySpec(distance=d, p=p, samples=samples,
+                                    region=region, informed=informed,
+                                    seed=idx)
+        failures.append(
+            campaigns.run(spec, executor=executor).counts["failures"])
     return time.perf_counter() - start, failures
 
 
@@ -79,7 +112,7 @@ def bench_batch_engine_speedup(benchmark):
     workers = max(1, mc_workers())
 
     def run():
-        seq_time, _ = _campaign(samples, workers=0)
+        seq_time = _sequential_campaign(samples)
         bit_time, bit_failures = _campaign(samples, workers)
         _, rep_failures = _campaign(samples, workers)
         return seq_time, bit_time, bit_failures, rep_failures
@@ -91,7 +124,7 @@ def bench_batch_engine_speedup(benchmark):
         f"Batch engine speedup (Fig. 8 grid, {samples} samples/point, "
         f"workers={workers})",
         ["engine", "wall clock (s)", "speedup"],
-        [["sequential (workers=0)", f"{seq_time:.2f}", "1.0x"],
+        [["sequential (per-shot loop)", f"{seq_time:.2f}", "1.0x"],
          ["batched bit-packed", f"{bit_time:.2f}",
           f"{seq_time / bit_time:.1f}x"]])
 
@@ -487,23 +520,28 @@ def bench_e2e_decode_stage_speedup(benchmark):
 def bench_batch_single_point_timing(benchmark):
     """Time the heaviest single point (d=13, p=2.5e-2, informed)."""
     samples = mc_samples()
-    exp = MemoryExperiment(13, 2.5e-2,
-                           region=AnomalousRegion.centered(13, ANOMALY_SIZE),
-                           informed=True)
-    est = benchmark.pedantic(
-        exp.run, args=(samples,),
-        kwargs=dict(workers=max(1, mc_workers()), seed=5),
+    spec = campaigns.MemorySpec(
+        distance=13, p=2.5e-2, samples=samples,
+        region=AnomalousRegion.centered(13, ANOMALY_SIZE), informed=True,
+        seed=5)
+    result = benchmark.pedantic(
+        campaigns.run, args=(spec,),
+        kwargs=dict(executor=campaigns.default_executor(
+            max(1, mc_workers()))),
         rounds=1, iterations=1)
-    assert est.samples == samples
+    assert result.counts["samples"] == samples
 
 
 def smoke() -> None:
     """One tiny grid point per engine path (bench_smoke marker)."""
-    exp = MemoryExperiment(5, 2.5e-2,
-                           region=AnomalousRegion.centered(5, 2),
-                           informed=True)
-    assert (exp.run(32, workers=1, seed=3).failures
-            == exp.run(32, workers=1, seed=3).failures)
+    region = AnomalousRegion.centered(5, 2)
+    spec = campaigns.MemorySpec(distance=5, p=2.5e-2, samples=32,
+                                region=region, informed=True, seed=3)
+    executor = campaigns.default_executor(1)
+    assert (campaigns.run(spec, executor=executor).counts
+            == campaigns.run(spec, executor=executor).counts)
+    assert 0 <= _sequential_failures(5, 2.5e-2, region, True, 8,
+                                     np.random.default_rng(0)) <= 8
     noise = PhenomenologicalNoise(5, 2.5e-2)
     _float_stage(noise, SyndromeLattice(5), 70, 5,
                  np.random.default_rng(0))

@@ -11,6 +11,7 @@ an operating table.
 Run:  python examples/detection_tuning.py
 """
 
+from repro import campaigns
 from repro.core.statistics import (
     detection_threshold,
     recommended_count_threshold,
@@ -49,9 +50,12 @@ def main():
     for ratio in (10, 20, 50, 100):
         p_ano = P * ratio
         analytic = analytic_required_window(P, p_ano, alpha=ALPHA)
+        # The search starts at the CLT bound and grows the window.
+        base = campaigns.DetectionSpec(
+            distance=DISTANCE, p=P, p_ano=p_ano, anomaly_size=ANOMALY_SIZE,
+            c_win=analytic, n_th=N_TH, alpha=ALPHA, trials=5, seed=ratio)
         c_win, perf = empirical_required_window(
-            DISTANCE, P, p_ano, ANOMALY_SIZE, n_th=N_TH,
-            alpha=ALPHA, trials=5, seed=ratio)
+            base, executor=campaigns.default_executor(0))
         v_th = detection_threshold(stats, c_win, ALPHA)
         latency = (f"{perf.mean_latency:.0f}"
                    if perf.detections else "-")

@@ -15,11 +15,11 @@ Public API highlights
   -- matching decoders over uniform or anomaly-aware distances.
 * :class:`repro.core.AnomalyDetectionUnit` -- MBBE detection (Sec. IV).
 * :class:`repro.core.Q3DEControlUnit` -- the integrated control unit.
-* :mod:`repro.campaigns` -- **the** way to run experiments: declarative
-  specs, one ``run()``, pluggable executors, checkpoint/resume
+* :mod:`repro.campaigns` -- the only way to run experiments: declarative
+  specs (``MemorySpec``, ``EndToEndSpec``, ``DetectionSpec``, ...), one
+  ``run()``, pluggable executors, checkpoint/resume
   (``python -m repro run spec.json`` from the shell).
-* :class:`repro.sim.MemoryExperiment` -- logical-error Monte Carlo
-  (legacy shim over :mod:`repro.campaigns`).
+* :mod:`repro.sim` -- the batched shot kernels those campaigns drive.
 * :mod:`repro.scaling`, :mod:`repro.arch.throughput`, :mod:`repro.hwmodel`
   -- the Fig. 9 / Fig. 10 / Table IV evaluations.
 """
@@ -38,7 +38,6 @@ from repro.core import (
     Q3DEControlUnit,
     Q3DEConfig,
 )
-from repro.sim import MemoryExperiment
 
 __version__ = "1.1.0"
 
@@ -58,7 +57,6 @@ __all__ = [
     "SyndromeStatistics",
     "Q3DEControlUnit",
     "Q3DEConfig",
-    "MemoryExperiment",
     "campaigns",
     "config",
     "__version__",

@@ -14,8 +14,8 @@ Three implementations:
 * :class:`InlineExecutor` — this process, one chunk at a time.  With
   ``whole_request=True`` (the default) the chunk size defaults to the
   whole request, memory-capped by
-  :func:`repro.sim.batch.default_chunk_shots` — the modern ``workers=0``
-  path.
+  :func:`repro.sim.batch.default_chunk_shots` — what
+  ``default_executor(0)`` returns.
 * :class:`ProcessPoolExecutor` — a ``multiprocessing`` fan-out with
   per-worker kernel/decoder reuse and ordered, windowed streaming.
 * :class:`DistributedExecutor` — the multi-host seam.  Subclasses
@@ -118,9 +118,9 @@ class InlineExecutor(Executor):
     """Run every chunk in this process, reusing one prepared kernel.
 
     ``whole_request`` picks the unset-``batch_size`` default: ``True``
-    (default) batches the whole request per chunk (memory-capped — the
-    legacy ``workers=0`` behaviour), ``False`` keeps the kernel's small
-    fan-out chunk size (the legacy ``workers=1`` behaviour).
+    (default) batches the whole request per chunk (memory-capped —
+    ``default_executor(0)``), ``False`` keeps the kernel's small
+    fan-out chunk size (``default_executor(1)``).
     """
 
     name = "inline"

@@ -7,7 +7,7 @@ Every campaign — whatever its kind — comes back as a
 hash, seed, package version, executor, wall clock, chunk accounting).
 ``to_dict()`` gives the JSON the CLI prints; ``detail`` keeps the domain
 result object (:class:`~repro.sim.LogicalErrorEstimate` and friends)
-for in-process callers and the legacy shims.
+for in-process callers.
 """
 
 from __future__ import annotations

@@ -84,7 +84,8 @@ def _check_region(region, anomaly_size: int) -> None:
 
 @dataclass(frozen=True)
 class MemorySpec:
-    """One logical-memory campaign (see :class:`repro.sim.MemoryExperiment`).
+    """One logical-memory campaign (Fig. 3/8; result
+    :class:`repro.sim.LogicalErrorEstimate`).
 
     ``region`` may be an :class:`AnomalousRegion`, ``None`` (MBBE free),
     or the string ``"centered"`` — a region of ``anomaly_size`` centered
@@ -129,7 +130,7 @@ class MemorySpec:
 @dataclass(frozen=True)
 class EndToEndSpec:
     """One detect/estimate/re-decode campaign
-    (see :class:`repro.sim.EndToEndExperiment`)."""
+    (result :class:`repro.sim.EndToEndResult`)."""
 
     kind = "endtoend"
 
@@ -160,8 +161,8 @@ class EndToEndSpec:
 
 @dataclass(frozen=True)
 class DetectionSpec:
-    """One detection-unit tuning campaign
-    (see :func:`repro.sim.run_detection_trials`)."""
+    """One detection-unit tuning campaign (Fig. 7; result
+    :class:`repro.sim.DetectionPerformance`)."""
 
     kind = "detection"
 

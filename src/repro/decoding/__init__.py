@@ -22,8 +22,8 @@ from repro.decoding.graph import SyndromeLattice
 from repro.decoding.weights import (DistanceModel, MultiRegionDistanceModel,
                                     NORTH, SOUTH)
 from repro.decoding.mwpm import MWPMDecoder
-from repro.decoding.greedy import (FastGreedyDecoder, GreedyDecoder,
-                                   greedy_cut_parity, greedy_decode_fast)
+from repro.decoding.greedy import (GreedyDecoder, greedy_cut_parity,
+                                   greedy_decode_fast)
 from repro.decoding.decoder_base import DecodeResult, Match
 from repro.decoding.batched import ScratchArena, batched_cut_parities
 
@@ -33,7 +33,6 @@ __all__ = [
     "MultiRegionDistanceModel",
     "MWPMDecoder",
     "GreedyDecoder",
-    "FastGreedyDecoder",
     "greedy_decode_fast",
     "greedy_cut_parity",
     "batched_cut_parities",

@@ -709,36 +709,30 @@ def batched_region_cut_parities(distance: int, regions: list,
                                 nodes_list: list, w_ano: float = 0.0,
                                 arena: Optional[ScratchArena] = None
                                 ) -> np.ndarray:
-    """North-cut parities for a chunk where every shot has its own region.
+    """North-cut parities for a chunk where every shot has its own regions.
 
-    The end-to-end campaign's oracle and detected decodes hand each
-    shot a different :class:`AnomalousRegion` (the true strike, or the
+    ``regions`` holds one tuple of :class:`AnomalousRegion` per shot:
+    ``()`` for the uniform model, one region, or several (a multi-event
+    scenario shot).  The end-to-end campaign's oracle and detected
+    decodes hand each shot different boxes (the true strikes, or the
     detection unit's estimate — whose onset varies shot to shot).
-    Equals, bit for bit,
-
-    ``[greedy_cut_parity(DistanceModel(distance, reg, w_ano), nodes)
-    for reg, nodes in zip(regions, nodes_list)]``
-
-    (with the uniform model for ``reg is None`` shots).  With
-    ``w_ano == 0`` and in-envelope coordinates the whole chunk runs
-    through the integer engine, which folds the per-shot region boxes
-    into its bucket tensors — no per-region grouping needed.  Outside
-    that envelope shots group by :func:`region_signature` and each
-    group decodes through :func:`batched_cut_parities` (integer engine,
-    float bucketed tier, or per-shot core — whatever its model admits).
-
-    A shot's entry in ``regions`` may also be a *sequence* of regions
-    (a multi-event scenario shot).  An empty sequence is the uniform
-    model and a length-1 sequence is exactly its single region (both
-    bit-identical to the legacy entry forms); two or more regions
-    decode through the certified per-shot core under a
+    A shot with at most one region equals, bit for bit,
+    ``greedy_cut_parity(DistanceModel(distance, regs[0], w_ano), nodes)``
+    (``DistanceModel(distance)`` for ``()``).  With ``w_ano == 0`` and
+    in-envelope coordinates those run through the integer engine,
+    which folds the per-shot region boxes into its bucket tensors — no
+    per-region grouping needed.  Outside that envelope shots group by
+    :func:`region_signature` and each group decodes through
+    :func:`batched_cut_parities` (integer engine, float bucketed tier,
+    or per-shot core — whatever its model admits).  Shots with two or
+    more regions decode through the certified per-shot core under a
     :class:`~repro.decoding.weights.MultiRegionDistanceModel` — the
     fallback-first tier the scenario subsystem contracts (extending the
     integer envelope to multi-box shots is follow-on work).
     """
     S = len(nodes_list)
     if len(regions) != S:
-        raise ValueError("need exactly one region (or None) per shot")
+        raise ValueError("need exactly one tuple of regions per shot")
     out = np.zeros(S, dtype=np.int8)
     if S == 0:
         return out
@@ -753,17 +747,12 @@ def batched_region_cut_parities(distance: int, regions: list,
         nodes = np.asarray(nodes)
         if not len(nodes):
             continue
-        reg = regions[s]
-        if isinstance(reg, (list, tuple)):
-            if len(reg) == 0:
-                reg = None
-            elif len(reg) == 1:
-                reg = reg[0]
-            else:
-                multi.append((s, tuple(reg), nodes))
-                continue
+        regs = regions[s]
+        if len(regs) > 1:
+            multi.append((s, regs, nodes))
+            continue
         sub_nodes.append(nodes)
-        sub_regs.append(reg)
+        sub_regs.append(regs[0] if regs else None)
         sub_idx.append(s)
 
     for s, regs, nodes in multi:
@@ -799,7 +788,7 @@ def batched_region_cut_parities(distance: int, regions: list,
 def streaming_cut_parity(distance: int, region, nodes: np.ndarray,
                          w_ano: float = 0.0,
                          arena: Optional[ScratchArena] = None) -> int:
-    """North-cut parity of one streamed shot under an optional region.
+    """North-cut parity of one streamed shot under one region.
 
     The online driver's decode entry point
     (:mod:`repro.streaming.driver`): a single-shot call into the
@@ -807,5 +796,5 @@ def streaming_cut_parity(distance: int, region, nodes: np.ndarray,
     campaign path share one decode implementation — and, via ``arena``,
     one reusable scratch allocation across a trial sequence.
     """
-    return int(batched_region_cut_parities(distance, [region], [nodes],
+    return int(batched_region_cut_parities(distance, [(region,)], [nodes],
                                            w_ano, arena=arena)[0])

@@ -1,11 +1,8 @@
-"""Decoder interface and result types shared by MWPM and greedy decoders."""
+"""Result types shared by the MWPM and greedy decoders."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
-
-import numpy as np
 
 from repro.decoding.weights import NORTH
 
@@ -59,11 +56,3 @@ class DecodeResult:
                     return False
                 seen.add(match.b)
         return len(seen) == num_nodes
-
-
-class Decoder(Protocol):
-    """Anything that can match an active-node array."""
-
-    def decode(self, nodes: np.ndarray) -> DecodeResult:
-        """Match all nodes to each other or to a boundary."""
-        ...

@@ -170,16 +170,6 @@ def greedy_cut_parity(model: DistanceModel, nodes: np.ndarray) -> int:
     return north & 1
 
 
-class FastGreedyDecoder:
-    """Drop-in :class:`GreedyDecoder` running the pruned fast path."""
-
-    def __init__(self, model: DistanceModel):
-        self.model = model
-
-    def decode(self, nodes: np.ndarray) -> DecodeResult:
-        return greedy_decode_fast(self.model, nodes)
-
-
 class GreedyDecoder:
     """Greedy distance-ordered matching over a :class:`DistanceModel`."""
 

@@ -144,19 +144,6 @@ class DistanceModel:
         via = to_box[:, None] + to_box[None, :]
         return np.minimum(direct, via)
 
-    def pairwise_fast(self, nodes: np.ndarray) -> np.ndarray:
-        """Float-exact fast path for :meth:`pairwise`.
-
-        Uses :meth:`pairwise_int` when the integer path is exact (the
-        distances are identical small integers, so converting back to
-        float64 preserves every distance-ordered tie-break), otherwise
-        falls back to the float broadcast of :meth:`pairwise`.
-        """
-        dist = self.pairwise_int(nodes)
-        if dist is None:
-            return self.pairwise(nodes)
-        return dist.astype(np.float64)
-
     # ------------------------------------------------------------------
     # Batched primitives (stacked shots as (S, n, 3) tensors)
     # ------------------------------------------------------------------
@@ -333,9 +320,6 @@ class MultiRegionDistanceModel:
         prematch assumes one box, so multi-region decodes take the
         generic float path."""
         return None
-
-    def pairwise_fast(self, nodes: np.ndarray) -> np.ndarray:
-        return self.pairwise(nodes)
 
     def boundary(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance to the nearest boundary and which one.

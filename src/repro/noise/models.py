@@ -84,9 +84,9 @@ class AnomalousRegion:
                t_lo: int = 0, t_hi: Optional[int] = None) -> "AnomalousRegion":
         """A size x size region at a uniform position on the lattice.
 
-        The single place strike positions are drawn (sequential and
-        batched experiment paths must sample identically): row origin
-        first, then column origin.
+        The single place strike positions are drawn (the shot kernels
+        and the per-shot references must sample identically): row
+        origin first, then column origin.
         """
         rows, cols = distance - 1, distance
         row_lo = int(rng.integers(0, max(1, rows - size)))

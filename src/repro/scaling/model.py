@@ -24,7 +24,7 @@ reduced effective distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -144,36 +144,3 @@ def density_curve(
     """Required density across chip areas: one Fig. 9 series."""
     return [required_density(params, area, use_q3de, seed=seed)
             for area in area_ratios]
-
-
-def sweep_anomaly_size(params: ScalingParameters, sizes: list[int],
-                       area_ratios: list[float], use_q3de: bool,
-                       seed: int = 0) -> dict[int, list[Optional[float]]]:
-    """Fig. 9 left panel: one curve per anomaly size."""
-    return {
-        size: density_curve(replace(params, anomaly_size=size),
-                            area_ratios, use_q3de, seed)
-        for size in sizes
-    }
-
-
-def sweep_duration(params: ScalingParameters, factors: list[float],
-                   area_ratios: list[float], use_q3de: bool,
-                   seed: int = 0) -> dict[float, list[Optional[float]]]:
-    """Fig. 9 middle panel: one baseline curve per error-duration factor."""
-    return {
-        f: density_curve(replace(params, lifetime_s=params.lifetime_s * f),
-                         area_ratios, use_q3de, seed)
-        for f in factors
-    }
-
-
-def sweep_frequency(params: ScalingParameters, factors: list[float],
-                    area_ratios: list[float], use_q3de: bool,
-                    seed: int = 0) -> dict[float, list[Optional[float]]]:
-    """Fig. 9 right panel: one curve per anomaly-frequency factor."""
-    return {
-        f: density_curve(replace(params, frequency_hz=params.frequency_hz * f),
-                         area_ratios, use_q3de, seed)
-        for f in factors
-    }

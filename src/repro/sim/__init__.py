@@ -1,14 +1,16 @@
-"""Monte-Carlo experiment drivers for the paper's evaluations."""
+"""Shot kernels and result types for the paper's Monte-Carlo evaluations.
+
+Campaigns run through :func:`repro.campaigns.run`; this package holds
+the batched kernels it drives and the domain results it returns.
+"""
 
 from repro.sim.montecarlo import BinomialEstimate, wilson_interval
-from repro.sim.memory import MemoryExperiment, LogicalErrorEstimate
+from repro.sim.memory import LogicalErrorEstimate
 from repro.sim.detection import (
-    DetectionTrialResult,
     DetectionPerformance,
-    run_detection_trials,
     analytic_required_window,
 )
-from repro.sim.endtoend import EndToEndExperiment, EndToEndResult
+from repro.sim.endtoend import EndToEndResult
 from repro.sim.batch import (
     DetectionShotKernel,
     EndToEndShotKernel,
@@ -23,12 +25,8 @@ __all__ = [
     "MemoryShotKernel",
     "BinomialEstimate",
     "wilson_interval",
-    "MemoryExperiment",
     "LogicalErrorEstimate",
-    "DetectionTrialResult",
     "DetectionPerformance",
-    "run_detection_trials",
     "analytic_required_window",
-    "EndToEndExperiment",
     "EndToEndResult",
 ]

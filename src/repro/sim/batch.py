@@ -73,8 +73,8 @@ from repro.sim.stages import (DetectionExtractStage, DetectionScoreStage,
                               ShotPipeline, StageContext, StageState,
                               StrikeSampleStage)
 
-#: Largest single chunk an in-process (``workers=0``) campaign decodes
-#: at once: the retired sequential entry points batch their whole shot
+#: Largest single chunk an in-process whole-request campaign
+#: (``default_executor(0)``) decodes at once: it batches the whole shot
 #: request, and this cap keeps the word arrays of a huge request from
 #: dominating memory.
 MAX_CHUNK_SHOTS = 4096
@@ -85,12 +85,12 @@ MAX_CHUNK_SHOTS = 4096
 #: chunk size must shrink with ``cycles * d^2`` — a shots-only cap
 #: would OOM the paper-scale Fig. 7 points (d = 21, c_win in the
 #: hundreds).  The cap keeps a chunk's scan near 64 MB.  It also fixes
-#: the default chunk plans, and so the outcomes, of ``workers=0`` runs.
+#: the default chunk plans, and so the outcomes, of whole-request runs.
 MAX_CHUNK_ELEMENTS = 1 << 25
 
 
 def default_chunk_shots(shots: int, per_shot_elements: int) -> int:
-    """Chunk size for a ``workers=0`` whole-request campaign.
+    """Chunk size for a whole-request (``default_executor(0)``) campaign.
 
     The whole request when it fits, shrunk by the per-shot activity
     footprint (``total_cycles * lattice nodes``) so one chunk's scan
@@ -243,16 +243,17 @@ class _ShotKernel:
 
 
 class MemoryShotKernel(_ShotKernel):
-    """Batched version of :meth:`MemoryExperiment.run_once`.
+    """The memory campaign's shot kernel.
 
     ``run_batch_packed(shots, rng)`` returns an ``(shots,)`` int8 array
-    of logical-failure indicators, distributionally identical to
-    ``shots`` sequential ``run_once`` calls (the same error model and
-    the exact same matching; only the order in which the uniforms are
-    drawn differs).  The strikes are ``scenario``'s fixed-position
-    events (none by default), applied chunk-wide by the noise model;
-    ``informed`` decodes with their boxes weighted.  Active-node
-    coordinates for the whole chunk come out of one bulk lane unpack.
+    of logical-failure indicators, distributionally identical to the
+    per-shot loop ``tests/reference_engines.py::reference_memory_run``
+    (the same error model and the exact same matching; only the order
+    in which the uniforms are drawn differs).  The strikes are
+    ``scenario``'s fixed-position events (none by default), applied
+    chunk-wide by the noise model; ``informed`` decodes with their
+    boxes weighted.  Active-node coordinates for the whole chunk come
+    out of one bulk lane unpack.
     """
 
     #: column of the outcome rows that feeds the streamed estimate

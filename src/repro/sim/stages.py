@@ -377,7 +377,7 @@ class EndToEndDecodeStage(_KernelStage):
             if det_idx:
                 detected[det_idx] = batched_region_cut_parities(
                     kernel.distance,
-                    [state.detections[s][0] for s in det_idx],
+                    [(state.detections[s][0],) for s in det_idx],
                     [state.nodes_list[s] for s in det_idx], w_ano,
                     arena=ctx.arena)
             out[:, 0] = err ^ naive

@@ -1,19 +1,25 @@
-"""The retired per-cycle reference engines, kept for equivalence tests.
+"""The retired per-shot and per-cycle reference engines, kept for
+equivalence tests.
 
-PR 7 removed the ``engine="reference"`` branches from the shipping
-simulators (:func:`repro.sim.run_detection_trials`,
-:meth:`repro.sim.EndToEndExperiment.run`) — the staged batch kernels are
-the only application path.  The original per-cycle loops through
-:class:`repro.core.anomaly.AnomalyDetectionUnit` and the per-shot greedy
-decode survive here, verbatim, as the certified reference the
-equivalence suite scores the batched engines against.  They are test
-fixtures: slow, rng-streamed shot by shot, and deliberately untouched by
-campaign features.
+The staged batch kernels behind :func:`repro.campaigns.run` are the only
+application path.  The loops they replaced survive here, verbatim apart
+from taking a campaign spec, as the certified references the
+equivalence suites score the batched engines against:
+
+* :func:`reference_memory_run` — the per-shot memory loop (float
+  sampling, per-shot extraction, the unpruned ``GreedyDecoder`` or
+  MWPM) for a :class:`~repro.campaigns.MemorySpec`;
+* :func:`reference_endtoend_run` / :func:`reference_run_shot` and
+  :func:`reference_detection_trials` — the per-cycle loops through
+  :class:`repro.core.anomaly.AnomalyDetectionUnit` with the per-shot
+  greedy decode.
+
+They are test fixtures: slow, rng-streamed shot by shot, and
+deliberately untouched by campaign features.
 
 :func:`reference_chunk` is the same kind of reference one level down:
-the float, per-shot path the shot kernels' ``packing="none"`` and
-``decode``/``scan="pershot"`` knobs used to select, recomputing any one
-chunk from the same draws.
+the float, per-shot path that recomputes any one chunk of a shot kernel
+from the same draws.
 
 The Fig. 10 scheduler's object-per-block plane, tuple-grid BFS router
 and slot loop live at the end of the module in the same role, for
@@ -33,9 +39,11 @@ from repro.arch.isa import Instruction, InstructionKind
 from repro.arch.qubit_plane import BlockState
 from repro.arch.scheduler import CommittedOp
 from repro.arch.throughput import ThroughputResult
+from repro.campaigns import EndToEndSpec, MemorySpec
 from repro.core.anomaly import AnomalyDetectionUnit
 from repro.decoding.graph import SyndromeLattice
 from repro.decoding.greedy import GreedyDecoder, greedy_cut_parity
+from repro.decoding.mwpm import MWPMDecoder
 from repro.decoding.weights import DistanceModel, relative_anomalous_weight
 from repro.noise.models import (AnomalousRegion, PhenomenologicalNoise,
                                 build_anomalous_masks)
@@ -43,8 +51,8 @@ from repro.scenarios.model import Scenario
 from repro.sim.batch import (DetectionShotKernel, MemoryShotKernel,
                              _windowed_over)
 from repro.sim.detection import DetectionPerformance, calibrated_statistics
-from repro.sim.endtoend import (EndToEndExperiment, EndToEndResult,
-                                estimate_strike_region)
+from repro.sim.endtoend import EndToEndResult, estimate_strike_region
+from repro.sim.memory import LogicalErrorEstimate
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +129,41 @@ def reference_chunk(kernel, shots: int,
 
 
 # ----------------------------------------------------------------------
+# The retired per-shot memory loop
+# ----------------------------------------------------------------------
+def reference_memory_run(spec: MemorySpec,
+                         rng: np.random.Generator) -> LogicalErrorEstimate:
+    """``spec.samples`` memory shots, one at a time, from ``rng``.
+
+    Each shot samples float error arrays, extracts its detection
+    events, decodes them with the unpruned :class:`GreedyDecoder` (or
+    MWPM), and fails iff a logical X error survived decoding.  The
+    spec's ``seed`` and ``batch_size`` play no part: the shots stream
+    from ``rng``.
+    """
+    region = spec.resolve_region()
+    cycles = spec.cycles if spec.cycles is not None else spec.distance
+    noise = PhenomenologicalNoise(spec.distance, spec.p,
+                                  Scenario.from_region(region, spec.p_ano))
+    lattice = SyndromeLattice(spec.distance)
+    if spec.informed and region is not None:
+        w_ano = relative_anomalous_weight(spec.p, spec.p_ano)
+        model = DistanceModel(spec.distance, region, w_ano)
+    else:
+        model = DistanceModel(spec.distance)
+    decoder = (MWPMDecoder(model) if spec.decoder == "mwpm"
+               else GreedyDecoder(model))
+    failures = 0
+    for _ in range(spec.samples):
+        v, h, m = noise.sample(cycles, rng)
+        nodes = lattice.detection_events(v, h, m)
+        result = decoder.decode(nodes)
+        error_parity = lattice.error_cut_parity(v)
+        failures += bool(error_parity ^ result.correction_cut_parity)
+    return LogicalErrorEstimate(failures, spec.samples, cycles)
+
+
+# ----------------------------------------------------------------------
 # The retired per-cycle loops
 # ----------------------------------------------------------------------
 def stream_activity(
@@ -139,19 +182,19 @@ def stream_activity(
     return lattice.per_cycle_activity(v, h, m)
 
 
-def reference_decode_failure(exp: EndToEndExperiment, nodes, v,
-                             region) -> int:
+def reference_decode_failure(spec: EndToEndSpec, nodes, v, region) -> int:
     """Per-shot greedy decode + north-cut parity (the original scorer)."""
     if region is None:
-        model = DistanceModel(exp.distance)
+        model = DistanceModel(spec.distance)
     else:
-        w_ano = relative_anomalous_weight(exp.p, exp.p_ano)
-        model = DistanceModel(exp.distance, region, w_ano)
+        w_ano = relative_anomalous_weight(spec.p, spec.p_ano)
+        model = DistanceModel(spec.distance, region, w_ano)
     result = GreedyDecoder(model).decode(nodes)
-    return exp.lattice.error_cut_parity(v) ^ result.correction_cut_parity
+    return (SyndromeLattice.error_cut_parity(v)
+            ^ result.correction_cut_parity)
 
 
-def reference_run_shot(exp: EndToEndExperiment, rng: np.random.Generator):
+def reference_run_shot(spec: EndToEndSpec, rng: np.random.Generator):
     """One strike shot; returns (naive, detected, oracle, latency).
 
     The shot is scored over Q3DE's *exposure window*: the run stops
@@ -159,24 +202,25 @@ def reference_run_shot(exp: EndToEndExperiment, rng: np.random.Generator):
     on a miss), because from that point the expanded code protects the
     qubit and the re-executed decoder has caught up.
     """
-    true_region = AnomalousRegion.random(exp.distance, exp.anomaly_size,
-                                         rng, t_lo=exp.onset)
-    noise = PhenomenologicalNoise(exp.distance, exp.p,
+    lattice = SyndromeLattice(spec.distance)
+    true_region = AnomalousRegion.random(spec.distance, spec.anomaly_size,
+                                         rng, t_lo=spec.onset)
+    noise = PhenomenologicalNoise(spec.distance, spec.p,
                                   Scenario.from_region(true_region,
-                                                       exp.p_ano))
-    v, h, m = noise.sample(exp.cycles, rng)
-    activity = exp.lattice.per_cycle_activity(v, h, m)
+                                                       spec.p_ano))
+    v, h, m = noise.sample(spec.cycles, rng)
+    activity = lattice.per_cycle_activity(v, h, m)
 
     unit = AnomalyDetectionUnit(
-        (exp.distance - 1, exp.distance), exp.stats,
-        exp.c_win, exp.n_th, exp.alpha)
+        (spec.distance - 1, spec.distance), calibrated_statistics(spec.p),
+        spec.c_win, spec.n_th, spec.alpha)
     event = None
-    stop = exp.cycles
-    for t in range(exp.cycles):
+    stop = spec.cycles
+    for t in range(spec.cycles):
         evt = unit.observe(activity[t])
         if evt is None:
             continue
-        if evt.cycle < exp.onset:
+        if evt.cycle < spec.onset:
             # A pre-onset false positive is discarded, so the mask it
             # laid down must go with it: otherwise the unit is blind
             # around the flagged position for mask_cycles and the real
@@ -184,33 +228,34 @@ def reference_run_shot(exp: EndToEndExperiment, rng: np.random.Generator):
             unit.clear_masks()
             continue
         event = evt
-        stop = min(exp.cycles, evt.cycle + exp.distance)
+        stop = min(spec.cycles, evt.cycle + spec.distance)
         break
 
     estimated: Optional[AnomalousRegion] = None
     latency = None
     if event is not None:
         estimated = estimate_strike_region(
-            exp.distance, exp.anomaly_size, event.row, event.col,
+            spec.distance, spec.anomaly_size, event.row, event.col,
             event.onset_estimate)
-        latency = event.cycle - exp.onset
+        latency = event.cycle - spec.onset
 
     v, h, m = v[:stop], h[:stop], m[:stop]
-    nodes = exp.lattice.detection_events(v, h, m)
-    naive = reference_decode_failure(exp, nodes, v, None)
-    oracle = reference_decode_failure(exp, nodes, v, true_region)
-    detected = (reference_decode_failure(exp, nodes, v, estimated)
+    nodes = lattice.detection_events(v, h, m)
+    naive = reference_decode_failure(spec, nodes, v, None)
+    oracle = reference_decode_failure(spec, nodes, v, true_region)
+    detected = (reference_decode_failure(spec, nodes, v, estimated)
                 if estimated is not None else naive)
     return naive, detected, oracle, latency
 
 
-def reference_endtoend_run(exp: EndToEndExperiment, shots: int,
+def reference_endtoend_run(spec: EndToEndSpec,
                            rng: np.random.Generator) -> EndToEndResult:
-    """The original per-cycle end-to-end campaign loop."""
+    """The original per-cycle end-to-end campaign loop over
+    ``spec.shots`` shots streamed from ``rng``."""
     naive = detected = oracle = found = 0
     latencies: list[int] = []
-    for _ in range(shots):
-        n, d, o, lat = reference_run_shot(exp, rng)
+    for _ in range(spec.shots):
+        n, d, o, lat = reference_run_shot(spec, rng)
         naive += n
         detected += d
         oracle += o
@@ -218,7 +263,7 @@ def reference_endtoend_run(exp: EndToEndExperiment, shots: int,
             found += 1
             latencies.append(lat)
     return EndToEndResult(
-        shots=shots,
+        shots=spec.shots,
         naive_failures=naive,
         detected_failures=detected,
         oracle_failures=oracle,

@@ -1,5 +1,7 @@
 """Tests for the batched shot engine (repro.sim.batch)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from repro import campaigns
 from repro.decoding import (
     DistanceModel,
     GreedyDecoder,
-    FastGreedyDecoder,
     SyndromeLattice,
     greedy_cut_parity,
     greedy_decode_fast,
@@ -23,13 +24,16 @@ from repro.sim.batch import (
     _windowed_over_batch,
     chunk_plan,
 )
-from repro.sim.detection import run_detection_trials
-from repro.sim.endtoend import EndToEndExperiment
-from repro.sim.memory import MemoryExperiment
 from repro.sim.stages import _overwrite_anomalous_packed
 
 from reference_engines import (reference_chunk, reference_detection_trials,
-                               reference_endtoend_run)
+                               reference_endtoend_run, reference_memory_run)
+
+
+def _run(spec, workers):
+    """``spec``'s domain result through ``default_executor(workers)``."""
+    return campaigns.run(
+        spec, executor=campaigns.default_executor(workers)).detail
 
 
 class TestBatchedPrimitives:
@@ -105,15 +109,10 @@ class TestFastGreedyEquivalence:
                 assert (greedy_cut_parity(model, nodes)
                         == legacy.correction_cut_parity)
 
-    def test_fast_decoder_class_wraps_core(self, rng):
-        model = DistanceModel(9)
-        nodes = np.column_stack([
-            rng.integers(0, 9, 20), rng.integers(0, 8, 20),
-            rng.integers(0, 9, 20)])
-        assert (FastGreedyDecoder(model).decode(nodes).matches
-                == GreedyDecoder(model).decode(nodes).matches)
-
     def test_pairwise_fast_is_float_exact(self, rng):
+        """Wherever the integer specialization answers, it equals the
+        float distances exactly."""
+        exact = 0
         for _ in range(30):
             d = int(rng.integers(5, 12))
             n = int(rng.integers(1, 40))
@@ -121,8 +120,12 @@ class TestFastGreedyEquivalence:
                 rng.integers(0, d + 1, n), rng.integers(0, d - 1, n),
                 rng.integers(0, d, n)])
             for model in self._models(rng, d):
-                assert np.array_equal(model.pairwise(nodes),
-                                      model.pairwise_fast(nodes))
+                dist = model.pairwise_int(nodes)
+                if dist is None:  # weighted region: float path only
+                    continue
+                exact += 1
+                assert np.array_equal(model.pairwise(nodes), dist)
+        assert exact >= 60  # both unweighted models of every draw
 
     def test_pairwise_int_declines_weighted_region(self):
         model = DistanceModel(9, AnomalousRegion(1, 1, 3), 0.4)
@@ -133,8 +136,8 @@ class TestFastGreedyEquivalence:
         wrap and corrupt every fast-path distance."""
         model = DistanceModel(9, AnomalousRegion(1, 1, 3, t_hi=100_000), 0.0)
         nodes = np.array([[0, 0, 0], [0, 7, 8], [5, 3, 3], [5, 4, 3]])
-        assert np.array_equal(model.pairwise(nodes),
-                              model.pairwise_fast(nodes))
+        dist = model.pairwise_int(nodes)
+        assert dist is None or np.array_equal(model.pairwise(nodes), dist)
         assert (GreedyDecoder(model).decode(nodes).matches
                 == greedy_decode_fast(model, nodes).matches)
 
@@ -455,44 +458,50 @@ class TestBatchRunner:
 
 
 class TestMemoryBatchEquivalence:
+    REGION = AnomalousRegion.centered(7, 2)
+
     def test_batch_matches_sequential_distribution(self):
         """Same error model through both engines: the failure rates must
         agree within Monte-Carlo resolution."""
-        exp = MemoryExperiment(7, 0.02,
-                               region=AnomalousRegion.centered(7, 2))
         samples = 800
-        seq = exp.run(samples, np.random.default_rng(21))
-        bat = exp.run(samples, workers=1, seed=21)
+        spec = campaigns.MemorySpec(distance=7, p=0.02, samples=samples,
+                                    region=self.REGION, seed=21)
+        seq = reference_memory_run(spec, np.random.default_rng(21))
+        bat = _run(spec, 1)
         p = (seq.per_run + bat.per_run) / 2
         se = np.sqrt(max(2 * p * (1 - p) / samples, 1e-9))
         assert abs(seq.per_run - bat.per_run) < 5 * se
 
     def test_batch_deterministic_and_worker_invariant(self):
-        exp = MemoryExperiment(7, 0.02, region=AnomalousRegion.centered(7, 2))
-        one = exp.run(200, workers=1, seed=9)
-        again = exp.run(200, workers=1, seed=9)
-        pooled = exp.run(200, workers=2, seed=9)
+        spec = campaigns.MemorySpec(distance=7, p=0.02, samples=200,
+                                    region=self.REGION, seed=9)
+        one = _run(spec, 1)
+        again = _run(spec, 1)
+        pooled = _run(spec, 2)
         assert one.failures == again.failures == pooled.failures
 
     def test_mwpm_kernel_path(self):
-        est = MemoryExperiment(5, 0.02, decoder="mwpm").run(
-            60, workers=1, seed=4)
+        est = _run(campaigns.MemorySpec(distance=5, p=0.02, samples=60,
+                                        decoder="mwpm", seed=4), 1)
         assert est.samples == 60
         assert 0 <= est.failures <= 60
 
     def test_early_stop_via_experiment(self):
-        exp = MemoryExperiment(3, 0.15)
-        est = exp.run(50_000, workers=1, seed=13, target_rel_width=0.5)
+        est = _run(campaigns.MemorySpec(distance=3, p=0.15, samples=50_000,
+                                        seed=13, target_rel_width=0.5), 1)
         assert est.samples < 50_000
 
 
 class TestEndToEndBatch:
+    SPEC = campaigns.EndToEndSpec(distance=9, p=0.008, shots=24,
+                                  anomaly_size=3, onset=60, cycles=140,
+                                  c_win=50, n_th=6, seed=31)
+
     def test_batched_campaign_deterministic_and_pool_invariant(self):
-        exp = EndToEndExperiment(9, 0.008, anomaly_size=3, onset=60,
-                                 cycles=140, c_win=50, n_th=6)
-        a = exp.run(24, workers=1, seed=31, batch_size=12)
-        b = exp.run(24, workers=1, seed=31, batch_size=12)
-        c = exp.run(24, workers=2, seed=31, batch_size=12)
+        spec = replace(self.SPEC, batch_size=12)
+        a = _run(spec, 1)
+        b = _run(spec, 1)
+        c = _run(spec, 2)
         for res in (b, c):
             assert res.naive_failures == a.naive_failures
             assert res.detected_failures == a.detected_failures
@@ -500,9 +509,7 @@ class TestEndToEndBatch:
             assert res.detections == a.detections
 
     def test_batched_campaign_detects_strikes(self):
-        exp = EndToEndExperiment(9, 0.008, anomaly_size=3, onset=60,
-                                 cycles=140, c_win=50, n_th=6)
-        res = exp.run(24, workers=1, seed=31)
+        res = _run(self.SPEC, 1)
         assert res.detection_rate > 0.7
         assert res.mean_latency >= 0
 
@@ -510,11 +517,10 @@ class TestEndToEndBatch:
     def test_batch_matches_sequential_distribution(self):
         """Both engines score the same experiment: every failure rate
         must agree within Monte-Carlo resolution."""
-        exp = EndToEndExperiment(9, 0.008, anomaly_size=3, onset=60,
-                                 cycles=140, c_win=50, n_th=6)
         shots = 120
-        seq = reference_endtoend_run(exp, shots, np.random.default_rng(41))
-        bat = exp.run(shots, workers=1, seed=41)
+        spec = replace(self.SPEC, shots=shots, seed=41)
+        seq = reference_endtoend_run(spec, np.random.default_rng(41))
+        bat = _run(spec, 1)
         for key in ("naive", "detected", "oracle"):
             p = (seq.rates()[key] + bat.rates()[key]) / 2
             se = np.sqrt(max(2 * p * (1 - p) / shots, 1e-9))
@@ -523,19 +529,19 @@ class TestEndToEndBatch:
 
 
 class TestDetectionTrialsBatch:
+    SPEC = campaigns.DetectionSpec(distance=11, p=1e-3, p_ano=0.05,
+                                   anomaly_size=3, c_win=120, n_th=8,
+                                   trials=6, seed=17)
+
     def test_batched_trials_deterministic_and_pool_invariant(self):
-        kwargs = dict(distance=11, p=1e-3, p_ano=0.05, anomaly_size=3,
-                      c_win=120, n_th=8, trials=6, seed=17)
-        a = run_detection_trials(workers=1, **kwargs)
-        b = run_detection_trials(workers=1, **kwargs)
-        c = run_detection_trials(workers=2, **kwargs)
+        a = _run(self.SPEC, 1)
+        b = _run(self.SPEC, 1)
+        c = _run(self.SPEC, 2)
         assert a.detections == b.detections == c.detections
         assert a.false_positives == b.false_positives == c.false_positives
 
     def test_batched_trials_find_the_anomaly(self):
-        perf = run_detection_trials(
-            11, 1e-3, 0.05, anomaly_size=3, c_win=120, n_th=8,
-            trials=6, seed=17, workers=1)
+        perf = _run(self.SPEC, 1)
         assert perf.miss_rate == 0.0
         assert perf.mean_position_error < 4.0
 
@@ -546,7 +552,7 @@ class TestDetectionTrialsBatch:
         kwargs = dict(distance=11, p=1e-3, p_ano=0.05, anomaly_size=3,
                       c_win=100, n_th=8, trials=16)
         seq = reference_detection_trials(seed=23, **kwargs)
-        bat = run_detection_trials(seed=23, workers=1, **kwargs)
+        bat = _run(campaigns.DetectionSpec(seed=23, **kwargs), 1)
         assert seq.miss_rate == bat.miss_rate == 0.0
         assert abs(seq.false_positive_rate - bat.false_positive_rate) <= 0.5
         assert abs(seq.mean_latency - bat.mean_latency) <= 10

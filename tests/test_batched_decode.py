@@ -185,7 +185,7 @@ class TestLevelOnePass:
         model = DistanceModel(9, AnomalousRegion(0, 0, 3, t_lo=7), 0.0)
         nodes = np.array([[1, 5, 7], [2, 4, 2], [9, 6, 1], [9, 6, 2]])
         _assert_parities(model, [nodes])
-        regions = [model.region] * 2
+        regions = [(model.region,)] * 2
         got = batched_region_cut_parities(9, regions, [nodes, nodes], 0.0)
         assert got.tolist() == [greedy_cut_parity(model, nodes)] * 2
 

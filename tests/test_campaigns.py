@@ -13,9 +13,6 @@ from repro.noise import AnomalousRegion
 from repro.scenarios import Scenario, StrikeEvent
 from repro.sim.batch import (MemoryShotKernel, chunk_plan,
                              default_chunk_shots)
-from repro.sim.detection import run_detection_trials
-from repro.sim.endtoend import EndToEndExperiment
-from repro.sim.memory import MemoryExperiment
 
 
 # ----------------------------------------------------------------------
@@ -489,15 +486,22 @@ class TestExecutors:
 
 
 # ----------------------------------------------------------------------
-# Shim equality: legacy entry points == campaign API, bit for bit
+# Shim equality: region-era spec kinds == ScenarioSpec, bit for bit
 # ----------------------------------------------------------------------
 class TestLegacyShims:
-    # The direct side runs the kernel's own one-event scenario as a
-    # ScenarioSpec with the shim's chunk size pinned.
+    """The memory, end-to-end and detection specs are shims over
+    ``ScenarioSpec``.  Run through ``default_executor(n)``, each equals
+    the direct scenario run at the chunk size that executor resolves
+    (pinned, or the whole request), an early stop stops at the same
+    chunk, and a pinned ``(seed, batch_size)`` gives the same outcomes
+    whichever executor runs it."""
+
     def test_memory_run_matches_direct_runner(self):
         region = AnomalousRegion.centered(5, 2)
-        exp = MemoryExperiment(5, 2e-2, region=region)
-        est = exp.run(300, workers=1, seed=11, batch_size=64)
+        est = campaigns.run(
+            campaigns.MemorySpec(distance=5, p=2e-2, samples=300,
+                                 region=region, seed=11, batch_size=64),
+            executor=campaigns.default_executor(1)).detail
         direct = campaigns.run(
             campaigns.ScenarioSpec(5, 2e-2, 300,
                                    Scenario.from_region(region),
@@ -507,9 +511,10 @@ class TestLegacyShims:
             (direct.counts["failures"], direct.counts["samples"])
 
     def test_memory_early_stop_matches(self):
-        exp = MemoryExperiment(5, 3e-2)
-        est = exp.run(5000, workers=1, seed=3, batch_size=128,
-                      target_rel_width=0.5)
+        est = campaigns.run(
+            campaigns.MemorySpec(distance=5, p=3e-2, samples=5000, seed=3,
+                                 batch_size=128, target_rel_width=0.5),
+            executor=campaigns.default_executor(1)).detail
         direct = campaigns.run(
             campaigns.ScenarioSpec(5, 3e-2, 5000, seed=3, batch_size=128,
                                    target_rel_width=0.5),
@@ -519,9 +524,10 @@ class TestLegacyShims:
         assert est.samples < 5000  # it actually stopped early
 
     def test_endtoend_run_matches_direct_runner(self, run_with_outcomes):
-        e2e = EndToEndExperiment(5, 0.01, onset=30, cycles=60, c_win=20,
-                                 n_th=4)
-        res = e2e.run(40, seed=5)
+        res = campaigns.run(
+            campaigns.EndToEndSpec(distance=5, p=0.01, shots=40, onset=30,
+                                   cycles=60, c_win=20, n_th=4, seed=5),
+            executor=campaigns.default_executor(0)).detail
         batch = default_chunk_shots(40, 60 * 4 * 5)
         _, out = run_with_outcomes(
             campaigns.ScenarioSpec(
@@ -536,8 +542,11 @@ class TestLegacyShims:
         assert res.detections == int((out[:, 3] >= 0).sum())
 
     def test_detection_run_matches_direct_runner(self, run_with_outcomes):
-        perf = run_detection_trials(7, 2e-3, 0.05, anomaly_size=2,
-                                    c_win=40, n_th=3, trials=6, seed=9)
+        perf = campaigns.run(
+            campaigns.DetectionSpec(distance=7, p=2e-3, p_ano=0.05,
+                                    anomaly_size=2, c_win=40, n_th=3,
+                                    trials=6, seed=9),
+            executor=campaigns.default_executor(0)).detail
         strike = StrikeEvent(onset=80, size=2, p_ano=0.05)
         batch = default_chunk_shots(6, 240 * 6 * 7)
         _, out = run_with_outcomes(
@@ -553,8 +562,8 @@ class TestLegacyShims:
         spec = campaigns.MemorySpec(distance=5, p=2e-2, samples=200,
                                     seed=21, batch_size=64)
         direct = campaigns.run(spec)
-        via_shim = MemoryExperiment(5, 2e-2).run(200, workers=1, seed=21,
-                                                 batch_size=64)
+        via_shim = campaigns.run(
+            spec, executor=campaigns.default_executor(1)).detail
         assert direct.counts["failures"] == via_shim.failures
         assert direct.detail.per_cycle == via_shim.per_cycle
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import campaigns
 from repro.decoding import (
     DistanceModel,
     GreedyDecoder,
@@ -214,17 +215,19 @@ class TestEndToEndDecoding:
 
 
 class TestStatisticalAccuracy:
+    @staticmethod
+    def _memory(distance, p, samples, seed, **fields):
+        spec = campaigns.MemorySpec(distance=distance, p=p,
+                                    samples=samples, seed=seed, **fields)
+        return campaigns.run(
+            spec, executor=campaigns.default_executor(0)).detail
+
     @pytest.mark.parametrize("decoder", ["greedy", "mwpm"])
     def test_low_noise_failure_rate_is_small(self, decoder):
-        from repro.sim.memory import MemoryExperiment
-        exp = MemoryExperiment(5, 0.005, decoder=decoder)
-        est = exp.run(300, np.random.default_rng(0))
+        est = self._memory(5, 0.005, 300, seed=0, decoder=decoder)
         assert est.per_run < 0.05
 
     def test_failure_rate_decreases_with_distance(self):
-        from repro.sim.memory import MemoryExperiment
-        rng = np.random.default_rng(1)
-        small = MemoryExperiment(3, 0.02).run(600, rng).per_cycle
-        rng = np.random.default_rng(2)
-        large = MemoryExperiment(9, 0.02).run(600, rng).per_cycle
+        small = self._memory(3, 0.02, 600, seed=1).per_cycle
+        large = self._memory(9, 0.02, 600, seed=2).per_cycle
         assert large < small

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sim.endtoend import EndToEndExperiment, EndToEndResult
+from repro import campaigns
+from repro.sim.endtoend import EndToEndResult
 
 from reference_engines import reference_run_shot
 
@@ -11,10 +12,13 @@ from reference_engines import reference_run_shot
 @pytest.fixture(scope="module")
 def campaign():
     """One shared medium-size campaign (module-scoped: it is the slow
-    part, and every assertion reads the same aggregate)."""
-    exp = EndToEndExperiment(13, 0.005, anomaly_size=4, onset=120,
-                             cycles=300, c_win=80, n_th=8)
-    return exp.run(40, np.random.default_rng(99))
+    part, and every assertion reads the same aggregate).  The seed is
+    ``int(np.random.default_rng(99).integers(2**63))``."""
+    spec = campaigns.EndToEndSpec(
+        distance=13, p=0.005, shots=40, anomaly_size=4, onset=120,
+        cycles=300, c_win=80, n_th=8, seed=4667309173420421452)
+    return campaigns.run(spec,
+                         executor=campaigns.default_executor(0)).detail
 
 
 class TestResultType:
@@ -24,13 +28,14 @@ class TestResultType:
         assert res.detection_rate == 0.9
 
     def test_invalid_onset_rejected(self):
-        with pytest.raises(ValueError):
-            EndToEndExperiment(9, 0.01, onset=300, cycles=300)
+        with pytest.raises(campaigns.SpecError):
+            campaigns.EndToEndSpec(distance=9, p=0.01, shots=1, onset=300,
+                                   cycles=300)
 
     def test_zero_shots_rejected(self):
-        exp = EndToEndExperiment(9, 0.01, onset=10, cycles=50)
-        with pytest.raises(ValueError):
-            exp.run(0)
+        with pytest.raises(campaigns.SpecError):
+            campaigns.EndToEndSpec(distance=9, p=0.01, shots=0, onset=10,
+                                   cycles=50)
 
 
 @pytest.mark.slow
@@ -75,7 +80,7 @@ class TestPreOnsetFalsePositive:
         return unit, burst, quiet
 
     def _drive(self, clear_discarded_masks: bool) -> bool:
-        """Replay the EndToEndExperiment loop semantics: a transient
+        """Replay the end-to-end loop semantics: a transient
         burst before onset (discarded), then the real strike at the same
         position.  Returns whether the real strike was detected."""
         unit, burst, quiet = self._unit_and_streams()
@@ -116,10 +121,11 @@ class TestPreOnsetFalsePositive:
 
 class TestSingleShot:
     def test_shot_returns_judgements(self):
-        exp = EndToEndExperiment(9, 0.008, onset=100, cycles=200,
-                                 c_win=80, n_th=8)
+        spec = campaigns.EndToEndSpec(distance=9, p=0.008, shots=1,
+                                      onset=100, cycles=200, c_win=80,
+                                      n_th=8)
         naive, detected, oracle, latency = reference_run_shot(
-            exp, np.random.default_rng(3))
+            spec, np.random.default_rng(3))
         for value in (naive, detected, oracle):
             assert value in (0, 1)
         assert latency is None or latency >= 0

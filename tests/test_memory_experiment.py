@@ -1,15 +1,19 @@
-"""Tests for the logical-memory Monte-Carlo experiments."""
+"""Tests for the logical-memory Monte-Carlo campaigns."""
 
 import numpy as np
 import pytest
 
+from repro import campaigns
 from repro.noise import AnomalousRegion
-from repro.sim.memory import (
-    LogicalErrorEstimate,
-    MemoryExperiment,
-    fit_scaling_exponent,
-    logical_error_rate,
-)
+from repro.sim.memory import LogicalErrorEstimate, fit_scaling_exponent
+
+
+def _memory(distance, p, samples, seed, **fields):
+    """One ``MemorySpec`` campaign through the in-process whole-request
+    executor; returns its :class:`LogicalErrorEstimate`."""
+    spec = campaigns.MemorySpec(distance=distance, p=p, samples=samples,
+                                seed=seed, **fields)
+    return campaigns.run(spec, executor=campaigns.default_executor(0)).detail
 
 
 class TestEstimate:
@@ -53,31 +57,29 @@ class TestEstimate:
 
 class TestExperiment:
     def test_invalid_decoder_rejected(self):
-        with pytest.raises(ValueError):
-            MemoryExperiment(5, 0.01, decoder="magic")
+        with pytest.raises(campaigns.SpecError):
+            campaigns.MemorySpec(distance=5, p=0.01, samples=1,
+                                 decoder="magic")
 
-    def test_zero_noise_never_fails(self, rng):
-        exp = MemoryExperiment(5, 0.0)
-        est = exp.run(50, rng)
+    def test_zero_noise_never_fails(self):
+        est = _memory(5, 0.0, 50, seed=12345)
         assert est.failures == 0
 
-    def test_custom_cycle_count(self, rng):
-        exp = MemoryExperiment(5, 0.01, cycles=3)
-        assert exp.cycles == 3
-        est = exp.run(10, rng)
+    def test_custom_cycle_count(self):
+        est = _memory(5, 0.01, 10, seed=12345, cycles=3)
         assert est.cycles == 3
 
     def test_default_cycles_equal_distance(self):
-        assert MemoryExperiment(7, 0.01).cycles == 7
+        assert _memory(7, 0.01, 1, seed=0).cycles == 7
 
     def test_seeded_runs_reproducible(self):
-        a = logical_error_rate(5, 0.02, samples=200, seed=7)
-        b = logical_error_rate(5, 0.02, samples=200, seed=7)
+        a = _memory(5, 0.02, 200, seed=7)
+        b = _memory(5, 0.02, 200, seed=7)
         assert a.failures == b.failures
 
-    def test_need_at_least_one_sample(self, rng):
-        with pytest.raises(ValueError):
-            MemoryExperiment(5, 0.01).run(0, rng)
+    def test_need_at_least_one_sample(self):
+        with pytest.raises(campaigns.SpecError):
+            campaigns.MemorySpec(distance=5, p=0.01, samples=0)
 
 
 class TestPaperShapes:
@@ -85,9 +87,9 @@ class TestPaperShapes:
 
     def test_mbbe_raises_logical_error_rate(self):
         p = 0.01
-        clean = logical_error_rate(9, p, samples=400, seed=1)
+        clean = _memory(9, p, 400, seed=1)
         region = AnomalousRegion.centered(9, 4)
-        dirty = logical_error_rate(9, p, samples=400, region=region, seed=2)
+        dirty = _memory(9, p, 400, seed=2, region=region)
         assert dirty.per_run > 2 * clean.per_run
 
     @pytest.mark.slow
@@ -95,32 +97,29 @@ class TestPaperShapes:
         # Fig. 8: with-rollback beats without-rollback at low p.
         p = 0.008
         region = AnomalousRegion.centered(9, 4)
-        naive = logical_error_rate(9, p, samples=700, region=region, seed=3)
-        informed = logical_error_rate(9, p, samples=700, region=region,
-                                      informed=True, seed=4)
+        naive = _memory(9, p, 700, seed=3, region=region)
+        informed = _memory(9, p, 700, seed=4, region=region, informed=True)
         assert informed.per_run < naive.per_run
 
     @pytest.mark.slow
     def test_larger_anomaly_is_worse(self):
         p = 0.008
-        small = logical_error_rate(
-            9, p, samples=500, region=AnomalousRegion.centered(9, 2), seed=5)
-        large = logical_error_rate(
-            9, p, samples=500, region=AnomalousRegion.centered(9, 4), seed=6)
+        small = _memory(9, p, 500, seed=5,
+                        region=AnomalousRegion.centered(9, 2))
+        large = _memory(9, p, 500, seed=6,
+                        region=AnomalousRegion.centered(9, 4))
         assert large.per_run > small.per_run
 
     def test_distance_helps_below_threshold(self):
         p = 0.015
-        small = logical_error_rate(5, p, samples=500, seed=7)
-        large = logical_error_rate(11, p, samples=500, seed=8)
+        small = _memory(5, p, 500, seed=7)
+        large = _memory(11, p, 500, seed=8)
         assert large.per_cycle < small.per_cycle
 
     def test_mwpm_beats_greedy(self):
         p = 0.02
-        greedy = logical_error_rate(5, p, samples=400, decoder="greedy",
-                                    seed=9)
-        exact = logical_error_rate(5, p, samples=400, decoder="mwpm",
-                                   seed=10)
+        greedy = _memory(5, p, 400, seed=9, decoder="greedy")
+        exact = _memory(5, p, 400, seed=10, decoder="mwpm")
         assert exact.per_run <= greedy.per_run
 
 

@@ -1,17 +1,18 @@
 """Equivalence suite for the region-bucketed batched decode engine.
 
-PR 4's tentpole: the cross-shot engine folds *per-shot* anomalous
-regions into its bucket tensors, the end-to-end and detection kernels
-decode whole chunks through it, and the sequential ``workers=0``
-experiment branches are retired onto the batched kernels.  Everything
-here certifies bit-equality against the per-shot references
-(``greedy_cut_parity``, ``reference_chunk`` and the retired per-cycle
-loops, all housed in ``tests/reference_engines.py``).
+The cross-shot engine folds *per-shot* anomalous regions into its
+bucket tensors, and the end-to-end and detection kernels decode whole
+chunks through it.  Everything here certifies bit-equality against the
+per-shot references (``greedy_cut_parity``, ``reference_chunk`` and the
+retired per-cycle loops, all housed in ``tests/reference_engines.py``).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro import campaigns
 from repro.decoding.batched import (ScratchArena, _float_bucket_parities,
                                     batched_region_cut_parities)
 from repro.decoding.graph import SyndromeLattice
@@ -24,26 +25,25 @@ from repro.sim.endtoend import estimate_strike_region
 
 from reference_engines import (reference_chunk, reference_detection_trials,
                                reference_endtoend_run)
-from repro.sim.detection import run_detection_trials
-from repro.sim.endtoend import EndToEndExperiment
 
 
 def _reference(distance, regions, nodes_list, w_ano):
     """The certified per-shot path, one model per shot."""
     out = []
-    for reg, nodes in zip(regions, nodes_list, strict=True):
-        model = (DistanceModel(distance, reg, w_ano) if reg is not None
+    for regs, nodes in zip(regions, nodes_list, strict=True):
+        model = (DistanceModel(distance, regs[0], w_ano) if regs
                  else DistanceModel(distance))
         out.append(greedy_cut_parity(model, nodes))
     return np.array(out, dtype=np.int8)
 
 
 def _random_chunk(rng, d, shots, none_frac=0.2, t_span=30):
-    """Random mixed-region chunk: open/closed/huge windows, Nones."""
+    """Random mixed-region chunk: open/closed/huge windows, uniform
+    shots."""
     regions, nodes_list = [], []
     for _ in range(shots):
         if rng.random() < none_frac:
-            regions.append(None)
+            regions.append(())
         else:
             t_lo = int(rng.integers(0, t_span))
             roll = rng.random()
@@ -52,10 +52,10 @@ def _random_chunk(rng, d, shots, none_frac=0.2, t_span=30):
                 t_hi = t_lo + int(rng.integers(0, 20))
             elif roll < 0.4:
                 t_hi = 100_000  # far-future explicit window
-            regions.append(AnomalousRegion(
+            regions.append((AnomalousRegion(
                 int(rng.integers(0, max(1, d - 2))),
                 int(rng.integers(0, max(1, d - 1))),
-                int(rng.integers(1, 6)), t_lo=t_lo, t_hi=t_hi))
+                int(rng.integers(1, 6)), t_lo=t_lo, t_hi=t_hi),))
         n = int(rng.integers(0, 25))
         nodes_list.append(np.column_stack([
             rng.integers(0, t_span, n), rng.integers(0, d - 1, n),
@@ -88,12 +88,12 @@ def _estimates(rng, d, strikes):
     out = []
     for strike in strikes:
         if rng.random() < 0.2:
-            out.append(None)
+            out.append(())
             continue
         row, col = (x + 2 + int(rng.integers(-1, 2))
                     for x in (strike.row_lo, strike.col_lo))
-        out.append(estimate_strike_region(
-            d, 4, row, col, strike.t_lo + int(rng.integers(-2, 6))))
+        out.append((estimate_strike_region(
+            d, 4, row, col, strike.t_lo + int(rng.integers(-2, 6))),))
     return out
 
 
@@ -109,7 +109,8 @@ class TestBatchedRegionCutParities:
         rng = np.random.default_rng(1000 * d + int(1000 * p))
         strikes, nodes_list = _struck_shots(rng, d, p, 24, 2 * d)
         arena = ScratchArena()
-        for regions in (strikes, _estimates(rng, d, strikes)):
+        for regions in ([(s,) for s in strikes],
+                        _estimates(rng, d, strikes)):
             got = batched_region_cut_parities(d, regions, nodes_list, 0.0,
                                               arena=arena)
             assert np.array_equal(
@@ -132,9 +133,9 @@ class TestBatchedRegionCutParities:
         to shot, so signature grouping would degenerate to singletons —
         the engine must fold them per shot instead."""
         d, shots = 9, 40
-        regions = [AnomalousRegion(int(rng.integers(0, 5)),
-                                   int(rng.integers(0, 6)), 4,
-                                   t_lo=int(s))
+        regions = [(AnomalousRegion(int(rng.integers(0, 5)),
+                                    int(rng.integers(0, 6)), 4,
+                                    t_lo=int(s)),)
                    for s in range(shots)]
         nodes_list = [np.column_stack([
             rng.integers(0, 60, 12), rng.integers(0, d - 1, 12),
@@ -144,9 +145,9 @@ class TestBatchedRegionCutParities:
 
     def test_collapsed_and_never_active_windows(self, rng):
         d = 9
-        regions = [AnomalousRegion(1, 1, 3, t_lo=5, t_hi=5),   # empty
-                   AnomalousRegion(2, 2, 2, t_lo=500),         # pre-onset
-                   AnomalousRegion(0, 0, 2, t_lo=3, t_hi=4)]   # one layer
+        regions = [(AnomalousRegion(1, 1, 3, t_lo=5, t_hi=5),),  # empty
+                   (AnomalousRegion(2, 2, 2, t_lo=500),),        # pre-onset
+                   (AnomalousRegion(0, 0, 2, t_lo=3, t_hi=4),)]  # one layer
         nodes_list = [np.column_stack([
             rng.integers(0, 12, 9), rng.integers(0, d - 1, 9),
             rng.integers(0, d, 9)]) for _ in regions]
@@ -156,13 +157,13 @@ class TestBatchedRegionCutParities:
     def test_duplicate_nodes_inside_the_box(self):
         nodes = np.array([[5, 2, 2], [5, 2, 2], [5, 2, 2], [6, 3, 3],
                           [0, 0, 0], [5, 2, 3]])
-        regions = [AnomalousRegion(2, 2, 2, t_lo=4)]
+        regions = [(AnomalousRegion(2, 2, 2, t_lo=4),)]
         got = batched_region_cut_parities(9, regions, [nodes], 0.0)
         assert np.array_equal(got, _reference(9, regions, [nodes], 0.0))
 
     def test_empty_shots_and_empty_chunk(self):
         empty = np.zeros((0, 3), dtype=np.int64)
-        regions = [AnomalousRegion(0, 0, 2), None]
+        regions = [(AnomalousRegion(0, 0, 2),), ()]
         got = batched_region_cut_parities(
             9, regions, [empty, np.array([[1, 1, 1]])], 0.0)
         assert np.array_equal(
@@ -174,13 +175,14 @@ class TestBatchedRegionCutParities:
         # Negative coordinates, huge t, and an off-lattice region all
         # decline the integer engine but must still score correctly.
         cases = [
-            ([AnomalousRegion(0, 0, 2), AnomalousRegion(1, 1, 2, t_lo=3)],
+            ([(AnomalousRegion(0, 0, 2),),
+              (AnomalousRegion(1, 1, 2, t_lo=3),)],
              [np.array([[-1, 2, 3], [4, 5, 6]]), np.array([[0, 1, 2]])]),
-            ([AnomalousRegion(1, 1, 2)],
+            ([(AnomalousRegion(1, 1, 2),)],
              [np.array([[5000, 1, 1], [5001, 2, 2]])]),
-            ([AnomalousRegion(40, 0, 2)],
+            ([(AnomalousRegion(40, 0, 2),)],
              [np.array([[1, 1, 1], [2, 2, 2]])]),
-            ([AnomalousRegion(1, 1, 2, t_lo=5000)],
+            ([(AnomalousRegion(1, 1, 2, t_lo=5000),)],
              [np.array([[1, 1, 1], [2, 2, 2]])]),
         ]
         for regions, nodes_list in cases:
@@ -198,7 +200,7 @@ class TestBatchedRegionCutParities:
 
     def test_region_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            batched_region_cut_parities(9, [None], [], 0.0)
+            batched_region_cut_parities(9, [()], [], 0.0)
 
     def test_float_bucket_tier_matches_per_shot(self, rng):
         """Weighted regions take the pairwise_batch/boundary_batch tier:
@@ -289,15 +291,20 @@ class TestDetectionKernelScanModes:
 
 
 class TestRetiredSequentialBranches:
-    """workers=0 now rides the batched kernels; the per-cycle loops
-    survive only in tests/reference_engines.py."""
+    """``default_executor(0)`` (in process, whole request) rides the
+    batched kernels; the per-cycle loops survive only in
+    tests/reference_engines.py."""
+
+    E2E = campaigns.EndToEndSpec(distance=9, p=0.008, shots=24,
+                                 anomaly_size=3, onset=60, cycles=140,
+                                 c_win=50, n_th=6, seed=31)
 
     def test_endtoend_workers0_deterministic_and_pool_invariant(self):
-        exp = EndToEndExperiment(9, 0.008, anomaly_size=3, onset=60,
-                                 cycles=140, c_win=50, n_th=6)
-        a = exp.run(24, seed=31)
-        b = exp.run(24, seed=31)
-        c = exp.run(24, workers=2, seed=31, batch_size=24)
+        inline = campaigns.default_executor(0)
+        a = campaigns.run(self.E2E, executor=inline).detail
+        b = campaigns.run(self.E2E, executor=inline).detail
+        c = campaigns.run(replace(self.E2E, batch_size=24),
+                          executor=campaigns.default_executor(2)).detail
         for res in (b, c):
             assert res.naive_failures == a.naive_failures
             assert res.detected_failures == a.detected_failures
@@ -305,30 +312,22 @@ class TestRetiredSequentialBranches:
             assert res.detections == a.detections
 
     def test_endtoend_reference_engine_still_streams(self):
-        exp = EndToEndExperiment(9, 0.008, anomaly_size=3, onset=40,
-                                 cycles=90, c_win=30, n_th=5)
-        res = reference_endtoend_run(exp, 4, np.random.default_rng(2))
+        spec = replace(self.E2E, shots=4, onset=40, cycles=90, c_win=30,
+                       n_th=5)
+        res = reference_endtoend_run(spec, np.random.default_rng(2))
         assert res.shots == 4
         assert 0 <= res.naive_failures <= 4
 
-    def test_endtoend_engine_knob_is_retired(self):
-        exp = EndToEndExperiment(9, 0.008, onset=40, cycles=90)
-        with pytest.raises(TypeError):
-            exp.run(2, engine="reference")
-
     def test_detection_workers0_deterministic(self):
-        kwargs = dict(distance=11, p=1e-3, p_ano=0.05, anomaly_size=3,
-                      c_win=120, n_th=8, trials=6, seed=17)
-        a = run_detection_trials(workers=0, **kwargs)
-        b = run_detection_trials(workers=0, **kwargs)
+        spec = campaigns.DetectionSpec(
+            distance=11, p=1e-3, p_ano=0.05, anomaly_size=3, c_win=120,
+            n_th=8, trials=6, seed=17)
+        inline = campaigns.default_executor(0)
+        a = campaigns.run(spec, executor=inline).detail
+        b = campaigns.run(spec, executor=inline).detail
         assert a.detections == b.detections
         assert a.false_positives == b.false_positives
         assert np.isclose(a.mean_latency, b.mean_latency, equal_nan=True)
-
-    def test_detection_engine_knob_is_retired(self):
-        with pytest.raises(TypeError):
-            run_detection_trials(5, 1e-3, 0.05, 2, 40, trials=2,
-                                 engine="reference")
 
     @pytest.mark.slow
     @pytest.mark.parametrize("d,p_ano,anomaly_size,onset",
@@ -337,12 +336,14 @@ class TestRetiredSequentialBranches:
                                                    anomaly_size, onset):
         """The retired path vs the certified per-cycle reference: every
         failure rate agrees within Monte-Carlo resolution."""
-        exp = EndToEndExperiment(d, 0.01, p_ano=p_ano,
-                                 anomaly_size=anomaly_size, onset=onset,
-                                 cycles=onset + 50, c_win=25, n_th=4)
         shots = 60
-        seq = reference_endtoend_run(exp, shots, np.random.default_rng(13))
-        bat = exp.run(shots, seed=13)
+        spec = campaigns.EndToEndSpec(
+            distance=d, p=0.01, shots=shots, p_ano=p_ano,
+            anomaly_size=anomaly_size, onset=onset, cycles=onset + 50,
+            c_win=25, n_th=4, seed=13)
+        seq = reference_endtoend_run(spec, np.random.default_rng(13))
+        bat = campaigns.run(spec,
+                            executor=campaigns.default_executor(0)).detail
         for key in ("naive", "detected", "oracle"):
             p = (seq.rates()[key] + bat.rates()[key]) / 2
             se = np.sqrt(max(2 * p * (1 - p) / shots, 1e-9))
@@ -359,7 +360,8 @@ class TestRetiredSequentialBranches:
                       c_win=20, n_th=2, trials=24, normal_cycles=60,
                       post_cycles=60)
         seq = reference_detection_trials(seed=29, **kwargs)
-        bat = run_detection_trials(seed=29, **kwargs)
+        bat = campaigns.run(campaigns.DetectionSpec(seed=29, **kwargs),
+                            executor=campaigns.default_executor(0)).detail
         assert seq.false_positives > 0  # the regime exercises discards
         assert abs(seq.false_positive_rate - bat.false_positive_rate) <= 0.35
         assert abs(seq.miss_rate - bat.miss_rate) <= 0.35
