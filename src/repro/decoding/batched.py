@@ -22,7 +22,9 @@ accepts (anything else falls back to the per-shot core, shot by shot):
   on to the bucketed dense build for distances >= 2.
 
 * **Bucketed distance builds** — the survivors are grouped by
-  active-node count ``n`` and gathered into ``(3, S, n)`` coordinate
+  active-node count ``n`` (padded up to a multiple of
+  :data:`BUCKET_STEP`, pad slots masked out) and gathered into
+  ``(3, S, n)`` coordinate
   planes; pairwise and boundary distances for the whole bucket come out
   of a handful of broadcast ufunc passes (the ``int16`` fast path of
   :meth:`DistanceModel.pairwise_int` generalized to the batch axis,
@@ -37,7 +39,9 @@ accepts (anything else falls back to the per-shot core, shot by shot):
   distance level, accept every candidate that is the earliest remaining
   candidate of *all* its endpoints, drop candidates touching matched
   nodes, and repeat until none is left.  Each round's "earliest
-  incident candidate" map is one reversed scatter; the result is the
+  incident candidate" map is three reversed scatters (boundaries, pair
+  lows, pair highs), exact by the order invariant :func:`_accept`
+  states; the result is the
   sequential greedy matching (the earliest remaining candidate always
   wins in both formulations), with no per-shot NumPy calls and no
   Python acceptance loop.
@@ -74,6 +78,10 @@ INT_LIMIT = 2000
 #: Per-bucket element budget for the ``(S, n, n)`` tensors: buckets are
 #: split so the distance/keep scratch stays cache-resident.
 BUCKET_ELEMENT_BUDGET = 1 << 21
+
+#: Step of the bucket ladder: survivor counts pad up to a multiple of
+#: it, trading a few masked tensor elements for far fewer buckets.
+BUCKET_STEP = 8
 
 
 class ScratchArena:
@@ -395,7 +403,10 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     if not len(rest):
         return parities
     np.cumsum(ns, out=offs[1:])
-    nmax = int(ns.max())
+    # Counts pad up the bucket ladder: a call walks a few wide buckets,
+    # pad slots after a shot's real nodes masked out of every candidate.
+    width = -(-ns // BUCKET_STEP) * BUCKET_STEP
+    nmax = int(width.max())
 
     mag = max(cmax, d)
     if has.any():
@@ -411,29 +422,20 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
     # has-region shots sort after region-free ones, so every bucket is
     # homogeneous in "carries a box" and the region math never touches
     # a direct-distance shot.
-    order = np.lexsort((ns, has))
+    order = np.lexsort((width, has))
     matched = arena.take("matched", S_all * nmax, bool)
     matched[:] = False
 
-    # Candidates accumulate pre-split by distance level, bucket by
-    # bucket on cache-hot arrays.  A kept pair is never longer than the
-    # boundary distance of either endpoint, so a bucket's levels stop at
-    # its largest boundary distance (bounded by ~d/2).
-    by_level: dict = {}
-
-    def _level(lv):
-        got = by_level.get(lv)
-        if got is None:
-            got = ([], [], [], [])  # pair ga, pair gb, bnd ga, bnd north
-            by_level[lv] = got
-        return got
+    # Candidates accumulate bucket by bucket, then split into distance
+    # levels in generation order: pair lo, hi, dist; bnd, north, dist.
+    found: tuple = ([], [], [], [], [], [])
 
     k = 0
     while k < S_all:
-        n = int(ns[order[k]])
+        n = int(width[order[k]])
         boxed = bool(has[order[k]])
         k2 = k
-        while (k2 < S_all and ns[order[k2]] == n
+        while (k2 < S_all and width[order[k2]] == n
                and has[order[k2]] == boxed):
             k2 += 1
         if n == 0:
@@ -447,10 +449,12 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             sz = S * nn
             # Contiguous (3, S, n) coordinate planes: broadcasting from
             # the stride-3 column views runs ~3x slower than from
-            # contiguous rows, and every dense pass reads these.
+            # contiguous rows, and every dense pass reads these.  Pad
+            # slots read clipped (real, in-range) coordinates.
             planes = arena.take("planes", 3 * S * n, dd).reshape(3, S, n)
             np.take(coords, offs[ids, None] + np.arange(n), axis=1,
-                    out=planes)
+                    out=planes, mode="clip")
+            real = np.arange(n) < ns[ids][:, None]
             t = planes[0]
             i = planes[1]
             j = planes[2]
@@ -508,6 +512,7 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             np.minimum(bdist[:, :, None], bdist[:, None, :], out=tmp)
             np.less_equal(dist, tmp, out=keep)
             keep &= _upper_mask(n)
+            keep &= real[:, None, :]  # pad slots: never a pair's high end
             # Two-stage sparse scan: find nonzero 8-byte words first,
             # then bits inside them — the index-extraction pass visits
             # a few-percent-dense mask at word granularity.
@@ -524,35 +529,22 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
             pi = rem // np.int32(n)
             pj = rem - pi * np.int32(n)
             gbase = base[q]
-            pga = gbase + pi
-            pgb = gbase + pj
-            pdv = dist.ravel()[flat]
             bga = (base[:, None] + np.arange(n, dtype=np.int32)).ravel()
             bdv = bdist.ravel()
             bnf = (north <= south).ravel()
-            for lv in range(int(bdv.max()) + 1):
-                slot = None
-                sel = np.flatnonzero(pdv == lv)
-                if len(sel):
-                    slot = _level(lv)
-                    slot[0].append(pga[sel])
-                    slot[1].append(pgb[sel])
-                bsel = np.flatnonzero(bdv == lv)
-                if len(bsel):
-                    slot = _level(lv) if slot is None else slot
-                    slot[2].append(bga[bsel])
-                    slot[3].append(bnf[bsel])
+            real = real.ravel()
+            bga, bdv, bnf = bga[real], bdv[real], bnf[real]
+            for got, x in zip(found, (gbase + pi, gbase + pj,
+                                      dist.ravel()[flat], bga, bnf, bdv),
+                              strict=True):
+                got.append(x)
         k = k2
 
-    cat = np.concatenate
-    z32 = np.zeros(0, np.int32)
+    lo, hi, pdv, bnd, nof, bdv = (np.concatenate(x) for x in found)
     levels = []
-    for lv in sorted(by_level):
-        pl_a, pl_b, bl_a, bl_n = by_level[lv]
-        levels.append((cat(pl_a) if pl_a else z32,
-                       cat(pl_b) if pl_b else z32,
-                       cat(bl_a) if bl_a else z32,
-                       cat(bl_n) if bl_n else np.zeros(0, bool)))
+    for lv in range(int(bdv.max()) + 1):
+        ps, bs = np.flatnonzero(pdv == lv), np.flatnonzero(bdv == lv)
+        levels.append((lo[ps], hi[ps], bnd[bs], nof[bs]))
 
     north_ids = _accept(levels, matched, arena)
     parities ^= (np.bincount(north_ids // np.int32(nmax), minlength=S_all)
@@ -563,7 +555,7 @@ def _decode_engine(model: DistanceModel, nodes_list: list, arena: ScratchArena,
 def _accept(levels, matched, arena) -> np.ndarray:
     """Level-wise round-based acceptance over flattened candidates.
 
-    ``levels`` holds ``(pair_ga, pair_gb, bnd_ga, bnd_north)`` tuples
+    ``levels`` holds ``(pair_lo, pair_hi, bnd, bnd_north)`` tuples
     ascending in distance; within a level pairs precede boundaries and
     both keep generation (row-major) order — exactly the stable distance
     sort of the per-shot core.  Node ids index ``matched``, which marks
@@ -571,54 +563,55 @@ def _accept(levels, matched, arena) -> np.ndarray:
     is left; every round accepts at least the level's earliest remaining
     candidate.  Returns the ids of the nodes accepted onto the north
     boundary.
+
+    The scatters rely on an order invariant: ``pair_lo < pair_hi``, and
+    a node's pairs as the higher endpoint all precede its pairs as the
+    lower one (row-major order gives both), with boundaries last.
     """
     first = arena.take("first", len(matched), np.int32)
     first[:] = -1
     stamp = 0  # monotone position base: stale scatters never re-match
     north_gids: list = []
 
-    for ga_p, gb_p, ga_b, nof_b in levels:
-        # Entry filter before the concat: candidates whose endpoints
-        # matched at an earlier level are dead on arrival (the bulk, at
-        # high levels) and never enter the round arrays.
-        alive_p = ~matched[ga_p]
-        alive_p &= ~matched[gb_p]
-        alive_b = ~matched[ga_b]
-        ga_p = ga_p[alive_p]
-        ga_b = ga_b[alive_b]
-        ga = np.concatenate([ga_p, ga_b])
-        # Boundary candidates are self-loops: the acceptance test
-        # ``first[ga] == pos == first[gb]`` then degenerates to "no
-        # earlier remaining candidate touches this node".
-        gb = np.concatenate([gb_p[alive_p], ga_b])
-        nof = np.concatenate([np.zeros(len(ga_p), dtype=bool),
-                              nof_b[alive_b]])
-        while len(ga):
-            m = len(ga)
-            if stamp > 2**31 - 2 - 2 * m:  # stamp wrap: hard reset
+    for lo, hi, bnd, nof in levels:
+        # Candidates whose endpoints matched at an earlier level are
+        # dead on arrival (the bulk, at high levels).
+        alive = ~matched[lo]
+        alive &= ~matched[hi]
+        lo, hi = lo[alive], hi[alive]
+        alive = ~matched[bnd]
+        bnd, nof = bnd[alive], nof[alive]
+        while len(lo) or len(bnd):
+            mp, m = len(lo), len(lo) + len(bnd)
+            if stamp > 2**31 - 2 - m:  # stamp wrap: hard reset
                 first[:] = -1
                 stamp = 0
             pos = np.arange(stamp, stamp + m, dtype=np.int32)
             stamp += m
-            e_all = np.empty(2 * m, dtype=np.int32)
-            e_all[0::2] = ga
-            e_all[1::2] = gb
-            pp = np.empty(2 * m, dtype=np.int32)
-            pp[0::2] = pos
-            pp[1::2] = pos
-            # Reversed scatter: the earliest position wins; stamps from
-            # earlier rounds are strictly smaller than this round's
-            # range, so no reset pass is needed.
-            first[e_all[::-1]] = pp[::-1]
-            acc = (first[ga] == pos) & (first[gb] == pos)
-            matched[ga[acc]] = True
-            matched[gb[acc]] = True
-            accn = acc & nof
-            if accn.any():
-                north_gids.append(ga[accn])
-            alive = ~matched[ga]
-            alive &= ~matched[gb]
-            ga, gb, nof = ga[alive], gb[alive], nof[alive]
+            pos_p, pos_b = pos[:mp], pos[mp:]
+            # Reversed scatters, latest candidates first, so the
+            # earliest position touching a node is written last.  By
+            # the order invariant that is boundaries, then pair lows,
+            # then pair highs.  Stamps from earlier rounds are strictly
+            # smaller than this round's range, so no reset pass is
+            # needed.
+            first[bnd[::-1]] = pos_b[::-1]
+            first[lo[::-1]] = pos_p[::-1]
+            first[hi[::-1]] = pos_p[::-1]
+            acc = first[lo] == pos_p
+            acc &= first[hi] == pos_p
+            acc_b = first[bnd] == pos_b
+            matched[lo[acc]] = True
+            matched[hi[acc]] = True
+            matched[bnd[acc_b]] = True
+            acc_b &= nof
+            if acc_b.any():
+                north_gids.append(bnd[acc_b])
+            alive = ~matched[lo]
+            alive &= ~matched[hi]
+            lo, hi = lo[alive], hi[alive]
+            alive = ~matched[bnd]
+            bnd, nof = bnd[alive], nof[alive]
 
     return (np.concatenate(north_gids) if north_gids
             else np.zeros(0, np.int32))

@@ -159,34 +159,31 @@ class SyndromeLattice:
 
     @staticmethod
     def shot_nodes(coords: np.ndarray, vals: np.ndarray, bounds: np.ndarray,
-                   shot: int, t_stop: Optional[int] = None) -> np.ndarray:
+                   shot: int) -> np.ndarray:
         """One shot's active-node coordinates from packed nonzero words.
 
         Selects the rows of ``coords`` whose word holds ``shot``'s lane
-        bit (optionally restricted to layers ``t < t_stop``); the result
-        is exactly what :meth:`detection_events` returns for that shot's
-        bits, in the same ``(t, i, j)`` order.
+        bit; the result is exactly what :meth:`detection_events` returns
+        for that shot's bits, in the same ``(t, i, j)`` order.
         """
         w, b = divmod(shot, _WORD_BITS)
         lo, hi = int(bounds[w]), int(bounds[w + 1])
         sel = ((vals[lo:hi] >> np.uint64(b)) & np.uint64(1)).astype(bool)
-        if t_stop is not None:
-            sel &= coords[lo:hi, 1] < t_stop
         return coords[lo:hi, 1:][sel]
 
     @staticmethod
-    def shot_nodes_bulk(coords: np.ndarray, vals: np.ndarray,
-                        shots: int) -> tuple[np.ndarray, np.ndarray]:
+    def shot_nodes_bulk(coords: np.ndarray, vals: np.ndarray, shots: int,
+                        t_stop: Optional[np.ndarray] = None
+                        ) -> tuple[np.ndarray, np.ndarray]:
         """Every shot's active nodes in one vectorized lane unpack.
 
         Returns ``(nodes, offsets)``: ``nodes`` is the ``(N, 3)``
         concatenation of all shots' ``(t, i, j)`` coordinates and
         ``offsets`` the ``(shots + 1,)`` slice bounds, so that
-        ``nodes[offsets[s]:offsets[s + 1]]`` equals
-        :meth:`shot_nodes` for shot ``s`` bit for bit.  This replaces
-        ``shots`` per-shot lane extractions with one ``unpackbits`` +
-        one stable counting sort — the batched decode engine's entry
-        point.
+        ``nodes[offsets[s]:offsets[s + 1]]`` equals :meth:`shot_nodes`
+        for shot ``s`` bit for bit (only layers ``t < t_stop[s]`` when
+        ``t_stop`` is given).  Each word's rows unpack lane-major, so one
+        ``nonzero`` per word lists shot after shot, each in row order.
         """
         offsets = np.zeros(shots + 1, dtype=np.int64)
         if not len(coords):
@@ -194,15 +191,21 @@ class SyndromeLattice:
         as_bytes = np.ascontiguousarray(
             vals.astype("<u8", copy=False)[:, None]).view(np.uint8)
         lanes = np.unpackbits(as_bytes, axis=-1, bitorder="little")
-        rows, lane_idx = np.nonzero(lanes)
-        shot_ids = (coords[rows, 0] * _WORD_BITS
-                    + lane_idx).astype(np.int32)
-        keep = shot_ids < shots  # zero-filled tail lanes never fire
-        rows, shot_ids = rows[keep], shot_ids[keep]
-        order = np.argsort(shot_ids, kind="stable")
-        nodes = coords[rows[order], 1:]
-        offsets = np.searchsorted(shot_ids[order], np.arange(shots + 1))
-        return nodes, offsets
+        bounds = np.searchsorted(coords[:, 0],
+                                 np.arange(-(-shots // _WORD_BITS) + 1))
+        rows = []
+        for w, (lo, hi) in enumerate(zip(bounds[:-1].tolist(),
+                                         bounds[1:].tolist(), strict=True)):
+            s0 = w * _WORD_BITS
+            n = min(_WORD_BITS, shots - s0)  # tail lanes never fire
+            block = np.ascontiguousarray(lanes[lo:hi, :n].T).view(bool)
+            if t_stop is not None:
+                block &= coords[lo:hi, 1] < t_stop[s0:s0 + n, None]
+            lane, row = np.divmod(np.flatnonzero(block), max(1, hi - lo))
+            offsets[s0 + 1:s0 + n + 1] = np.bincount(lane, minlength=n)
+            rows.append(row + lo)
+        np.cumsum(offsets, out=offsets)
+        return coords[np.concatenate(rows), 1:], offsets
 
     @staticmethod
     def error_cut_parity_packed(v: np.ndarray) -> np.ndarray:

@@ -63,8 +63,6 @@ from repro.decoding.weights import (DistanceModel, MultiRegionDistanceModel,
                                     relative_anomalous_weight)
 from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios.model import NO_STRIKES, Scenario
-from repro.sim import bitops
-from repro.sim.endtoend import estimate_strike_region
 from repro.sim.stages import (DetectionExtractStage, DetectionScoreStage,
                               EndToEndAccumulateStage, EndToEndDecodeStage,
                               EndToEndDetectStage, EndToEndExtractStage,
@@ -205,6 +203,16 @@ def _windowed_over_batch(activity_words: np.ndarray, shots: int, c_win: int,
     return over[..., :shots], over.sum(axis=(1, 2)).T[:shots]
 
 
+def _median_floor(counts: np.ndarray) -> np.ndarray:
+    """``int(np.median(x))`` per row, where ``counts[k, v]`` counts value
+    ``v`` in row ``k``'s non-empty sample of non-negative integers: the
+    floor of the mean of the two middle order statistics."""
+    run = np.cumsum(counts, axis=1)
+    n = run[:, -1:]
+    return ((run <= (n - 1) // 2).sum(axis=1)
+            + (run <= n // 2).sum(axis=1)) // 2
+
+
 # ----------------------------------------------------------------------
 # Shot kernels
 # ----------------------------------------------------------------------
@@ -326,7 +334,9 @@ class EndToEndShotKernel(_ShotKernel):
     masks from discarded events are cleared, and the first accepted
     event ends the shot, so no mask can ever touch a scored detection).
 
-    The per-shot truncated rerun (``v[:stop]`` …) never happens: the
+    The scan tail (:meth:`_scan_tail`) runs on the whole chunk's
+    arrays, and the per-shot truncated rerun (``v[:stop]`` …) never
+    happens: the
     difference lattice of a run stopped at ``stop`` is the first
     ``stop`` layers of the live activity stream plus a final layer that
     is exactly ``m[stop - 1]``, and the truncated error parity is one
@@ -384,41 +394,44 @@ class EndToEndShotKernel(_ShotKernel):
                                         arena=self._arena)
         return _mwpm_parities(MWPMDecoder(naive_model), nodes_list)
 
-    def _detect_all(self, activity_words: np.ndarray, shots: int) -> list:
-        """Detection scans for a whole chunk's packed activity stream.
+    def _scan_tail(self, activity_words: np.ndarray, shots: int) -> tuple:
+        """Every shot's scan tail, from one windowed-count pass.
 
-        One windowed-count pass over the packed words
-        (:func:`_windowed_over_batch`); integer window sums keep every
-        shot's scan equal to a per-shot :func:`_windowed_over` scan.
-        """
-        over, n_over = _windowed_over_batch(activity_words, shots,
-                                            self.c_win, self._state[1])
-        return [self._detect_scan(over[..., s], n_over[s])
-                for s in range(shots)]
-
-    def _detect_scan(self, over: np.ndarray, n_over: np.ndarray):
-        """One shot's scan tail over its windowed counter state.
-
-        Returns ``(stop, estimated, latency)``: where the exposure
-        window closes (``onset + d`` cycles after the flag, or the full
-        run on a miss), the control unit's region estimate, and the
-        detection latency (-1 on a miss).  The control unit reasons
-        about the scenario's lead strike: the scan scores latency from
-        its onset and estimates a box of its size.
+        The control unit reasons about the scenario's lead strike: a
+        shot fires at the first window past ``n_th`` from the lead's
+        onset on, and its estimate is a box of the lead's size
+        (:func:`~repro.sim.endtoend.estimate_strike_region`) around the
+        medians of the flagged rows and columns.  Returns per-shot
+        ``stop`` cycles (``d`` after the flag, or the whole run on a
+        miss), region estimates (``None`` on a miss) and latencies (-1
+        on a miss).
         """
         d, cycles, c_win = self.distance, self.cycles, self.c_win
         lead = self.scenario.events[self.lead]
+        over, n_over = _windowed_over_batch(activity_words, shots, c_win,
+                                            self._state[1])
         start = max(lead.onset - (c_win - 1), 0)
-        fired = np.flatnonzero(n_over[start:] > self.n_th)
-        if not len(fired):
-            return cycles, None, -1
-        event_cycle = int(fired[0]) + start + c_win - 1
-        flag_rows, flag_cols = np.nonzero(over[event_cycle - (c_win - 1)])
-        estimated = estimate_strike_region(
-            d, lead.size, int(np.median(flag_rows)),
-            int(np.median(flag_cols)), max(0, event_cycle - c_win))
-        return (min(cycles, event_cycle + d), estimated,
-                event_cycle - lead.onset)
+        above = n_over[:, start:] > self.n_th
+        fired = above.any(axis=1)
+        hit = np.flatnonzero(fired)
+        k = start + (above.argmax(axis=1) if above.size else 0)
+        event_cycle = k + c_win - 1
+        stop = np.where(fired, np.minimum(cycles, event_cycle + d), cycles)
+        latency = np.where(fired, event_cycle - lead.onset, -1)
+        estimated: list = [None] * shots
+        if len(hit):
+            flags = over[k[hit], :, :, hit]
+            half, size = lead.size // 2, lead.size
+            row_lo = np.clip(_median_floor(flags.sum(axis=2)) - half, 0,
+                             max(0, d - 1 - size))
+            col_lo = np.clip(_median_floor(flags.sum(axis=1)) - half, 0,
+                             max(0, d - size))
+            t_lo = np.maximum(0, event_cycle[hit] - c_win)
+            for s, r, c, t in zip(hit.tolist(), row_lo.tolist(),
+                                  col_lo.tolist(), t_lo.tolist(),
+                                  strict=True):
+                estimated[s] = AnomalousRegion(r, c, size, t)
+        return stop, estimated, latency
 
     def _matching_parity(self, model, nodes: np.ndarray) -> int:
         """One shot's matching cut parity under the spec'd decoder."""
@@ -490,25 +503,6 @@ class EndToEndShotKernel(_ShotKernel):
             "detect", self._context(shots, rng))
         return (state.nodes_list, state.parities, state.regions,
                 state.detections)
-
-    @staticmethod
-    def _shot_nodes_truncated(lattice, coords, vals, bounds, m,
-                              shot: int, stop: int) -> np.ndarray:
-        """Active nodes of one shot's run truncated after cycle ``stop``.
-
-        Equals ``lattice.detection_events(v[:stop], h[:stop], m[:stop])``
-        bit for bit: activity layers ``t < stop`` plus the final perfect
-        round's events, which reduce to ``m[stop - 1]``.
-        """
-        nodes = lattice.shot_nodes(coords, vals, bounds, shot, t_stop=stop)
-        w, b = divmod(shot, bitops.WORD_BITS)
-        final = np.argwhere(
-            (m[w, stop - 1] >> np.uint64(b)) & np.uint64(1) != 0)
-        if len(final):
-            final = np.hstack([
-                np.full((len(final), 1), stop, dtype=final.dtype), final])
-            nodes = np.vstack([nodes, final])
-        return nodes
 
 
 class DetectionShotKernel(_ShotKernel):

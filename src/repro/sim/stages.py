@@ -39,6 +39,7 @@ tensor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Sequence
 
@@ -47,6 +48,10 @@ import numpy as np
 from repro.decoding.batched import ScratchArena, batched_region_cut_parities
 from repro.noise.models import AnomalousRegion, build_anomalous_masks
 from repro.sim import bitops
+
+#: Uniforms per strike-overwrite draw (whole shots, one at least): a
+#: 64-shot end-to-end chunk draws at once, a paper-scale trial alone.
+STRIKE_DRAW_UNIFORMS = 1 << 16
 
 
 # ----------------------------------------------------------------------
@@ -182,36 +187,87 @@ class _KernelStage(Stage):
 
 
 # ----------------------------------------------------------------------
-# Per-shot anomalous-region overwrite (shared by the strike sample stage)
+# Chunk-wide anomalous-region overwrite (shared by the strike sample stage)
 # ----------------------------------------------------------------------
-def _overwrite_anomalous_packed(v: np.ndarray, h: np.ndarray, m: np.ndarray,
-                                shot: int, region: AnomalousRegion,
-                                distance: int, p_ano: float,
-                                rng: np.random.Generator) -> None:
-    """Resample one shot's packed error words at ``p_ano`` in ``region``.
+@functools.lru_cache(maxsize=None)
+def _box_masks(distance: int, size: int) -> list:
+    """Flat ``v``, ``h``, ``m`` masks of a ``size`` box: entry ``[r, c]``
+    of each table is :func:`build_anomalous_masks` at origin ``(r, c)``
+    (origins past the lattice clip to ``(d - 1, d)``: empty masks)."""
+    d = distance
+    masks = [build_anomalous_masks(d, AnomalousRegion(r, c, size))
+             for r in range(d) for c in range(d + 1)]
+    return [np.array([m[k].ravel() for m in masks]).reshape(d, d + 1, -1)
+            for k in range(3)]
 
-    The kernels draw the whole chunk at the base rate first; per-shot
-    regions then only touch their own cells, mirroring
-    ``PhenomenologicalNoise.sample`` with that region.  The uniforms
-    are drawn per array in ``v, h, m`` order over the clipped time
-    span, then deposited into ``shot``'s lane of the affected words
-    with a set/clear mask — the rest of the word's 64 shots are
-    untouched.
+
+def _overwrite_strikes_packed(arrays: tuple, regions: list, events: tuple,
+                              distance: int,
+                              rng: np.random.Generator) -> None:
+    """Resample every shot's strike boxes in the packed ``(v, h, m)`` words.
+
+    ``regions`` holds each shot's resolved regions (only the box origins
+    vary by shot); ``events`` gives sizes, windows and ``p_ano``.  Bit
+    for bit the shot-by-shot, event-by-event overwrite: the uniforms
+    run shot-major, then event, then ``v``, ``h``, ``m``, each block over
+    the event's clipped window and box cells, and a lane takes
+    ``u < p_ano`` there.  Consecutive whole shots draw in one call of at
+    most :data:`STRIKE_DRAW_UNIFORMS` (one shot at least).  Each (event,
+    array) then lands for all of a draw's shots in a word at once: cell
+    columns sort by cell, and the lanes of one cell's columns add up
+    (distinct bits, so the sum is their OR).
     """
-    masks = build_anomalous_masks(distance, region)
-    cycles = v.shape[1]
-    t_hi = region.t_hi if region.t_hi is not None else cycles
-    t_lo, t_hi = max(0, region.t_lo), min(cycles, t_hi)
-    if t_hi <= t_lo:
-        return
-    span = t_hi - t_lo
-    w, b = divmod(shot, bitops.WORD_BITS)
-    bit = np.uint64(1) << np.uint64(b)
-    for arr, mask in zip((v, h, m), masks, strict=True):
-        bits = rng.random((span, int(mask.sum()))) < p_ano
-        view = arr[w, t_lo:t_hi]
-        current = view[:, mask]
-        view[:, mask] = np.where(bits, current | bit, current & ~bit)
+    shots, cycles = len(regions), arrays[0].shape[1]
+    word = bitops.WORD_BITS
+    origin = np.minimum(np.array(
+        [[(reg.row_lo, reg.col_lo) for reg in regs] for regs in regions],
+        dtype=np.intp).reshape(shots, len(events), 2), (distance - 1, distance))
+    blocks = []  # per (event, array): (array, t_lo, span, masks, p_ano)
+    for e, event in enumerate(events):
+        t_hi = cycles if event.t_hi is None else min(cycles, event.t_hi)
+        span = max(0, t_hi - event.onset)
+        for arr, table in zip(arrays, _box_masks(distance, event.size),
+                              strict=True):
+            blocks.append((arr.reshape(len(arr), cycles, -1), event.onset,
+                           span, table[origin[:, e, 0], origin[:, e, 1]],
+                           event.p_ano))
+    sizes = np.stack([span * masks.sum(axis=1)
+                      for _, _, span, masks, _ in blocks], axis=1)
+    totals = sizes.sum(axis=1)
+    step = max(1, STRIKE_DRAW_UNIFORMS // max(1, int(totals.max())))
+    for s0 in range(0, shots, step):
+        s1 = min(shots, s0 + step)
+        u = rng.random(int(totals[s0:s1].sum()))
+        # at[q, k]: offset in ``u`` of block q of the draw's k-th shot.
+        at = (np.cumsum(sizes[s0:s1]).reshape(s1 - s0, -1)
+              - sizes[s0:s1]).T
+        for q, (grid, t_lo, span, masks, p_ano) in enumerate(blocks):
+            for w in range(s0 // word, (s1 - 1) // word + 1) if span else ():
+                a, b = max(s0, w * word), min(s1, (w + 1) * word)
+                shot, cell = np.nonzero(masks[a:b])
+                if b - a == 1:  # a lone shot's block is already (span, n)
+                    bits = u[at[q, a - s0]:][:span * len(cell)].reshape(
+                        span, len(cell))
+                else:
+                    width = np.bincount(shot, minlength=b - a)
+                    first = (at[q, a - s0 + shot] + np.arange(len(cell))
+                             - (np.cumsum(width) - width)[shot])
+                    order = np.argsort(cell, kind="stable")
+                    cell, first, shot = cell[order], first[order], shot[order]
+                    bits = u[first + np.arange(span)[:, None] * width[shot]]
+                heads = np.flatnonzero(np.diff(cell, prepend=-1))
+                lane = np.uint64(1) << (a - w * word + shot).astype(np.uint64)
+                new = np.where(bits < p_ano, lane, np.uint64(0))
+                clear = lane
+                if len(heads) < len(cell):
+                    # Columns of one cell: difference of running sums.
+                    run = np.cumsum(new, axis=1)
+                    new = run[:, np.append(heads[1:], len(cell)) - 1]
+                    new[:, 1:] -= run[:, heads[1:] - 1]
+                    clear = np.bitwise_or.reduceat(lane, heads)
+                cols = cell[heads]
+                window = grid[w, t_lo:t_lo + span]
+                window[:, cols] = window[:, cols] & ~clear | new
 
 
 # ----------------------------------------------------------------------
@@ -275,7 +331,7 @@ class StrikeSampleStage(_KernelStage):
     through :meth:`AnomalousRegion.random`); the base arrays are then
     drawn chunk-wide from the kernel's base noise model, and each
     shot's events overwrite their boxes in declaration order at their
-    own ``p_ano``.
+    own ``p_ano``, many shots at once (:func:`_overwrite_strikes_packed`).
     """
 
     name = "sample"
@@ -288,13 +344,8 @@ class StrikeSampleStage(_KernelStage):
                          for _ in range(ctx.shots)]
         v, h, m = base_noise.sample_batch_packed(ctx.shots, kernel.cycles,
                                                  rng)
-        # Regions differ per shot, so the anomalous overwrite is the one
-        # per-shot sampling step (touching only the region's cells).
-        p_anos = [event.p_ano for event in scenario.events]
-        for s, regs in enumerate(state.regions):
-            for region, p_ano in zip(regs, p_anos, strict=True):
-                _overwrite_anomalous_packed(v, h, m, s, region, d, p_ano,
-                                            rng)
+        _overwrite_strikes_packed((v, h, m), state.regions, scenario.events,
+                                  d, rng)
         state.v, state.h, state.m = v, h, m
 
 
@@ -313,7 +364,7 @@ class EndToEndExtractStage(_KernelStage):
 
 
 class EndToEndDetectStage(_KernelStage):
-    """Windowed scans + truncated nodes/parities per shot.
+    """Windowed scans + truncated nodes/parities, chunk-wide.
 
     The scan decides each shot's stop cycle, so the decode inputs (the
     active nodes and error parity of the *truncated* run) are produced
@@ -321,28 +372,36 @@ class EndToEndDetectStage(_KernelStage):
     truncated difference lattice is the first ``stop`` activity
     layers plus a final layer that is exactly ``m[stop - 1]``, and the
     truncated error parity is one bit of the running north-cut parity.
-    The scan reads the extract stage's packed activity words directly.
+    The kernel's scan tail reads the whole chunk's packed activity
+    words; one lane-major unpack with a per-shot ``t_stop`` lists the
+    activity nodes, and each shot's final layer follows them.
     """
 
     name = "detect"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
-        kernel = self.kernel
-        lattice = kernel._state[0]
-        detections: list = []
-        nodes_list: list = []
-        parities = np.empty(ctx.shots, dtype=np.int64)
-        scans = kernel._detect_all(state.activity, ctx.shots)
-        for s, (stop, estimated, latency) in enumerate(scans):
-            nodes_list.append(kernel._shot_nodes_truncated(
-                lattice, state.coords, state.vals, state.bounds,
-                state.m, s, stop))
-            parities[s] = bitops.lane_bit(
-                state.north_prefix[:, stop - 1], s)
-            detections.append((estimated, latency))
-        state.nodes_list = nodes_list
-        state.parities = parities
-        state.detections = detections
+        shots = ctx.shots
+        lattice = self.kernel._state[0]
+        stop, estimated, latency = self.kernel._scan_tail(state.activity,
+                                                          shots)
+        nodes, offs = lattice.shot_nodes_bulk(state.coords, state.vals,
+                                              shots, t_stop=stop)
+        w, b = np.divmod(np.arange(shots, dtype=np.uint64),
+                         np.uint64(bitops.WORD_BITS))
+        fs, fi, fj = np.nonzero((state.m[w, stop - 1] >> b[:, None, None])
+                                & np.uint64(1))
+        # Each shot: its activity nodes (t < stop), then its final layer.
+        shot = np.concatenate([np.repeat(np.arange(shots), np.diff(offs)),
+                               fs])
+        order = np.argsort(shot, kind="stable")
+        nodes = np.concatenate([nodes, np.stack([stop[fs], fi, fj], axis=1)
+                                .astype(nodes.dtype)])[order]
+        offs = np.searchsorted(shot[order], np.arange(shots + 1))
+        state.nodes_list = [nodes[offs[s]:offs[s + 1]] for s in range(shots)]
+        state.parities = ((state.north_prefix[w, stop - 1] >> b)
+                          & np.uint64(1)).astype(np.int64)
+        state.detections = list(zip(estimated, latency.tolist(),
+                                    strict=True))
 
 
 class EndToEndDecodeStage(_KernelStage):

@@ -58,14 +58,42 @@ from repro.sim.memory import LogicalErrorEstimate
 # ----------------------------------------------------------------------
 # The float, per-shot reference for one chunk of any shot kernel
 # ----------------------------------------------------------------------
+def overwrite_anomalous_packed(v: np.ndarray, h: np.ndarray, m: np.ndarray,
+                               shot: int, region: AnomalousRegion,
+                               distance: int, p_ano: float,
+                               rng: np.random.Generator) -> None:
+    """Resample one shot's packed error words at ``p_ano`` in ``region``.
+
+    The per-shot overwrite the strike sample stage replaced with its
+    chunk-wide ``_overwrite_strikes_packed``.  The uniforms are drawn
+    per array in ``v, h, m`` order over the clipped time span, then
+    deposited into ``shot``'s lane of the affected words with a
+    set/clear mask — the rest of the word's 64 shots are untouched.
+    """
+    masks = build_anomalous_masks(distance, region)
+    cycles = v.shape[1]
+    t_hi = region.t_hi if region.t_hi is not None else cycles
+    t_lo, t_hi = max(0, region.t_lo), min(cycles, t_hi)
+    if t_hi <= t_lo:
+        return
+    span = t_hi - t_lo
+    w, b = divmod(shot, 64)
+    bit = np.uint64(1) << np.uint64(b)
+    for arr, mask in zip((v, h, m), masks, strict=True):
+        bits = rng.random((span, int(mask.sum()))) < p_ano
+        view = arr[w, t_lo:t_hi]
+        current = view[:, mask]
+        view[:, mask] = np.where(bits, current | bit, current & ~bit)
+
+
 def _overwrite_anomalous(v: np.ndarray, h: np.ndarray, m: np.ndarray,
                          shot: int, region: AnomalousRegion,
                          distance: int, p_ano: float,
                          rng: np.random.Generator) -> None:
     """Resample one shot's float error arrays at ``p_ano`` in ``region``.
 
-    The float twin of ``repro.sim.stages._overwrite_anomalous_packed``:
-    the same uniforms (same shapes, same order), stored as bools.
+    The float twin of :func:`overwrite_anomalous_packed`: the same
+    uniforms (same shapes, same order), stored as bools.
     """
     masks = build_anomalous_masks(distance, region)
     cycles = v.shape[1]
@@ -79,6 +107,32 @@ def _overwrite_anomalous(v: np.ndarray, h: np.ndarray, m: np.ndarray,
             rng.random((span, int(mask.sum()))) < p_ano)
 
 
+def reference_detect_scan(kernel, over: np.ndarray, n_over: np.ndarray):
+    """One shot's end-to-end scan tail over its windowed counter state.
+
+    The per-shot tail the end-to-end kernel's chunk-wide ``_scan_tail``
+    replaced.  Returns ``(stop, estimated, latency)``: where the
+    exposure window closes (``onset + d`` cycles after the flag, or the
+    full run on a miss), the control unit's region estimate, and the
+    detection latency (-1 on a miss).  The control unit reasons about
+    the scenario's lead strike: the scan scores latency from its onset
+    and estimates a box of its size.
+    """
+    d, cycles, c_win = kernel.distance, kernel.cycles, kernel.c_win
+    lead = kernel.scenario.events[kernel.lead]
+    start = max(lead.onset - (c_win - 1), 0)
+    fired = np.flatnonzero(n_over[start:] > kernel.n_th)
+    if not len(fired):
+        return cycles, None, -1
+    event_cycle = int(fired[0]) + start + c_win - 1
+    flag_rows, flag_cols = np.nonzero(over[event_cycle - (c_win - 1)])
+    estimated = estimate_strike_region(
+        d, lead.size, int(np.median(flag_rows)),
+        int(np.median(flag_cols)), max(0, event_cycle - c_win))
+    return (min(cycles, event_cycle + d), estimated,
+            event_cycle - lead.onset)
+
+
 def reference_chunk(kernel, shots: int,
                     rng: np.random.Generator) -> np.ndarray:
     """``kernel.run_batch_packed(shots, rng)`` through the reference path.
@@ -87,8 +141,10 @@ def reference_chunk(kernel, shots: int,
     arrays (``sample_batch`` plus :func:`_overwrite_anomalous`),
     per-shot extraction (``detection_events``), per-shot matching
     (``greedy_cut_parity`` or MWPM) and per-shot windowed scans
-    (``_windowed_over``) feeding the kernel's own scan tails and scorer.
-    The kernels are certified bit-identical to it per chunk.
+    (``_windowed_over``) feeding :func:`reference_detect_scan` (end to
+    end) or the kernel's own ``_score_scan`` (detection), and the
+    kernel's scorer.  The kernels are certified bit-identical to it per
+    chunk.
     """
     kernel.prepare()
     if isinstance(kernel, MemoryShotKernel):
@@ -117,7 +173,8 @@ def reference_chunk(kernel, shots: int,
         if detection:
             out[s] = kernel._score_scan(over, n_over, regions[s])
             continue
-        stop, estimated, latency = kernel._detect_scan(over, n_over)
+        stop, estimated, latency = reference_detect_scan(kernel, over,
+                                                         n_over)
         nodes = lattice.detection_events(v[s, :stop], h[s, :stop],
                                          m[s, :stop])
         naive = kernel._matching_parity(kernel._state[3], nodes)

@@ -1,5 +1,6 @@
 """Tests for the batched shot engine (repro.sim.batch)."""
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,8 @@ from repro.decoding import (
     greedy_decode_fast,
 )
 from repro.noise import AnomalousRegion, PhenomenologicalNoise, models
-from repro.scenarios import Scenario, StrikeEvent
-from repro.sim import bitops
+from repro.scenarios import Scenario, StrikeEvent, catalog_spec
+from repro.sim import bitops, stages
 from repro.sim.batch import (
     DetectionShotKernel,
     EndToEndShotKernel,
@@ -24,9 +25,10 @@ from repro.sim.batch import (
     _windowed_over_batch,
     chunk_plan,
 )
-from repro.sim.stages import _overwrite_anomalous_packed
 
-from reference_engines import (reference_chunk, reference_detection_trials,
+from reference_engines import (overwrite_anomalous_packed, reference_chunk,
+                               reference_detect_scan,
+                               reference_detection_trials,
                                reference_endtoend_run, reference_memory_run)
 
 
@@ -146,14 +148,180 @@ class TestFastGreedyEquivalence:
         v = np.zeros((1, 8, 5, 5), dtype=np.uint64)
         h = np.zeros((1, 8, 4, 4), dtype=np.uint64)
         m = np.zeros((1, 8, 4, 5), dtype=np.uint64)
-        _overwrite_anomalous_packed(v, h, m, 3, region, 5, 1.0,
-                                    np.random.default_rng(0))
+        overwrite_anomalous_packed(v, h, m, 3, region, 5, 1.0,
+                                   np.random.default_rng(0))
         assert v[0, 2:4].any() and m[0, 2:4].any()
         for arr in (v, h, m):
             assert not arr[0, :2].any()
             assert not arr[0, 4:].any()
             # Only shot 3's lane is written.
             assert not (arr & ~np.uint64(1 << 3)).any()
+
+
+class TestChunkWideOverwrite:
+    """``_overwrite_strikes_packed`` equals the per-shot overwrite."""
+
+    @staticmethod
+    def _check(d, cycles, shots, scenario, seed=0):
+        """Both overwrites from one generator state: same words, and the
+        same number of uniforms drawn.  Returns the words and regions."""
+        rng = np.random.default_rng(seed)
+        regions = [scenario.resolve_regions(d, rng) for _ in range(shots)]
+        words = PhenomenologicalNoise(d, 0.05).sample_batch_packed(
+            shots, cycles, rng)
+        ref = [w.copy() for w in words]
+        ref_rng = copy.deepcopy(rng)
+        for s, regs in enumerate(regions):
+            for region, event in zip(regs, scenario.events, strict=True):
+                overwrite_anomalous_packed(*ref, s, region, d, event.p_ano,
+                                           ref_rng)
+        stages._overwrite_strikes_packed(words, regions, scenario.events, d,
+                                         rng)
+        for got, want in zip(words, ref, strict=True):
+            assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()
+        return words, regions
+
+    @pytest.mark.parametrize("shots", [1, 64, 130])
+    def test_random_positions(self, shots):
+        scenario = Scenario(events=(
+            StrikeEvent(onset=5, size=3),
+            StrikeEvent(onset=2, size=2, duration=9, p_ano=0.2)))
+        self._check(9, 20, shots, scenario)
+
+    def test_overlapping_strikes_later_event_wins(self):
+        scenario = catalog_spec("overlapping-strikes").scenario
+        self._check(7, 20, 70, scenario)
+        first, second = scenario.events
+        sure = Scenario(events=(replace(first, p_ano=1.0),
+                                replace(second, p_ano=0.0)))
+        (_, _, m), _ = self._check(7, 20, 70, sure)
+        full = np.uint64(2**64 - 1)
+        # Measurement cells (2..3, 2..3) sit in both boxes: set from
+        # cycle 0 by the first event, cleared from cycle 4 by the second.
+        assert (m[0, :4, 2:4, 2:4] == full).all()
+        assert not m[:, 4:, 2:4, 2:4].any()
+        assert (m[0, 4:, 1, 1:4] == full).all()
+
+    def test_boxes_clipped_at_the_lattice_edge(self):
+        corner = Scenario(events=(
+            StrikeEvent(onset=0, size=4, row=4, col=5, p_ano=0.7),
+            StrikeEvent(onset=3, size=9, p_ano=0.4)))
+        self._check(7, 12, 70, corner)
+
+    def test_empty_window_draws_nothing(self):
+        late = Scenario(events=(StrikeEvent(onset=30, size=3),
+                                StrikeEvent(onset=4, size=2, p_ano=0.9)))
+        self._check(9, 20, 70, late)
+
+    @pytest.mark.parametrize("p_ano", [0.0, 1.0])
+    def test_certain_rates(self, p_ano):
+        (_, _, m), regions = self._check(
+            9, 20, 64, Scenario(events=(StrikeEvent(onset=5, size=4,
+                                                    p_ano=p_ano),)))
+        bits = bitops.unpack_shots(m, 64)
+        for s, (r,) in enumerate(regions):
+            box = bits[s, 5:, r.row_lo:r.row_hi, r.col_lo:r.col_hi]
+            assert (box == (p_ano == 1.0)).all()
+
+    def test_draws_split_inside_and_across_words(self, monkeypatch):
+        monkeypatch.setattr(stages, "STRIKE_DRAW_UNIFORMS", 300)
+        scenario = Scenario(events=(StrikeEvent(onset=14, size=3),
+                                    StrikeEvent(onset=15, size=2)))
+        self._check(9, 20, 130, scenario)
+
+
+class TestScanTail:
+    """The end-to-end kernel's chunk-wide scan tail against the per-shot
+    reference tail (``reference_detect_scan``)."""
+
+    D, P, C_WIN, N_TH = 9, 0.01, 6, 1  # a cell is over at >= 2 of 6
+
+    def _kernel(self, events, cycles=30):
+        kernel = EndToEndShotKernel(self.D, self.P,
+                                    Scenario(events=tuple(events)), cycles,
+                                    self.C_WIN, self.N_TH, 0.01)
+        kernel.prepare()
+        assert 1 < kernel._state[1] < 2
+        return kernel
+
+    def _activity(self, cycles):
+        """Hand-made activity: ``(cells, first, last)`` bursts per shot."""
+        shots = [
+            [],                                          # miss
+            [([(4, 4)], 0, cycles)],                     # one cell: miss
+            [([(0, 0), (0, 1), (1, 0)], 15, cycles)],    # clip at 0
+            [([(7, 5), (7, 6), (7, 7), (7, 8)], 12, cycles)],  # even, rows
+            [([(3, 8), (4, 8)], 20, cycles)],            # even, cols
+            [([(2, 2), (2, 3)], 0, 4),                   # early flag, then
+             ([(5, 4), (5, 5), (6, 4)], 18, cycles)],    # the real one
+            [([(1, 6), (2, 6)], cycles - 2, cycles)],    # last window
+            [([(3, 3), (3, 4), (4, 3)], 0, cycles)],     # from cycle 0
+        ]
+        act = np.zeros((len(shots), cycles, self.D - 1, self.D), dtype=bool)
+        for s, bursts in enumerate(shots):
+            for cells, t0, t1 in bursts:
+                for i, j in cells:
+                    act[s, t0:t1, i, j] = True
+        return act
+
+    def _compare(self, kernel, act):
+        shots = len(act)
+        stop, estimated, latency = kernel._scan_tail(bitops.pack_shots(act),
+                                                     shots)
+        got = list(zip(stop.tolist(), estimated, latency.tolist(),
+                       strict=True))
+        want = [reference_detect_scan(kernel, *_windowed_over(
+            act[s].astype(np.uint8), kernel.c_win, kernel._state[1]))
+            for s in range(shots)]
+        assert got == want
+        return want
+
+    def test_clipped_even_missed_early_and_last(self):
+        kernel = self._kernel([StrikeEvent(onset=10, size=4)])
+        want = self._compare(kernel, self._activity(30))
+        boxes = [est for _, est, _ in want if est is not None]
+        assert [lat for _, _, lat in want].count(-1) == 2
+        assert {b.row_lo for b in boxes} >= {0, self.D - 1 - 4}
+        assert {b.col_lo for b in boxes} >= {0, self.D - 4}
+        # The last shot fires at window 0 but before the onset's window.
+        assert want[-1][2] == 0 and want[-2][2] == 30 - 1 - 10
+
+    def test_fire_in_the_first_window(self):
+        kernel = self._kernel([StrikeEvent(onset=0, size=4)])
+        want = self._compare(kernel, self._activity(30))
+        assert want[-1][2] == self.C_WIN - 1
+
+    def test_lead_is_not_the_first_declared_event(self):
+        kernel = self._kernel([StrikeEvent(onset=20, size=4),
+                               StrikeEvent(onset=8, size=3)])
+        assert kernel.lead == 1
+        want = self._compare(kernel, self._activity(30))
+        assert {est.size for _, est, _ in want if est is not None} == {3}
+
+    def test_fewer_cycles_than_the_window(self):
+        kernel = self._kernel([StrikeEvent(onset=1, size=4)], cycles=4)
+        want = self._compare(kernel, self._activity(4))
+        assert all(w == (4, None, -1) for w in want)
+
+    @pytest.mark.parametrize("shots", [1, 64, 70])
+    def test_truncated_nodes_and_parities(self, shots):
+        """The detect stage's nodes and parities equal a float re-extraction
+        of each shot's run truncated at its stop cycle."""
+        kernel = EndToEndShotKernel(5, 0.03, Scenario(events=(
+            StrikeEvent(onset=6, size=2, p_ano=0.4),)), 24, 6, 3, 0.01)
+        state = kernel.pipeline().run_until(
+            "detect", kernel._context(shots, np.random.default_rng(8)))
+        v, h, m = (bitops.unpack_shots(x, shots)
+                   for x in (state.v, state.h, state.m))
+        lattice = kernel._state[0]
+        for s, (_, latency) in enumerate(state.detections):
+            stop = (24 if latency < 0
+                    else min(24, latency + 6 + kernel.distance))
+            assert np.array_equal(state.nodes_list[s],
+                                  lattice.detection_events(
+                                      v[s, :stop], h[s, :stop], m[s, :stop]))
+            assert state.parities[s] == lattice.error_cut_parity(v[s, :stop])
 
 
 class TestBitops:

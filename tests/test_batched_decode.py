@@ -250,6 +250,82 @@ class TestLevelOnePass:
             _assert_parities(DistanceModel(d, box, 0.0), chunk)
 
 
+class TestBucketLadder:
+    """Survivor counts pad up the bucket ladder; pad slots never reach a
+    candidate list, and the acceptance scatters' order invariant holds
+    on every level the engine builds."""
+
+    @staticmethod
+    def _spread(n, d, shift):
+        """``n`` nodes two or more apart and from both boundaries, so
+        none of them settles at level 1: all ``n`` survive to a bucket."""
+        k = np.arange(n)
+        return np.column_stack([2 * k, 1 + (k + shift) % (d - 3),
+                                (3 * k + shift) % d])
+
+    def test_counts_on_both_sides_of_every_step(self):
+        d, step = 9, batched_mod.BUCKET_STEP
+        counts = [1, 1, 2] + [c for k in (1, 2, 3)
+                              for c in (k * step - 1, k * step, k * step + 1)]
+        nodes = [self._spread(n, d, s) for s, n in enumerate(counts)]
+        box = AnomalousRegion(0, 0, 1, t_lo=0, t_hi=1)
+        regions = [()] * len(nodes) + [(box,)] * len(nodes)
+        nodes = nodes + nodes
+        want = [greedy_cut_parity(DistanceModel(d, regs[0], 0.0)
+                                  if regs else DistanceModel(d), x)
+                for regs, x in zip(regions, nodes, strict=True)]
+        got = batched_region_cut_parities(d, regions, nodes, 0.0)
+        assert got.tolist() == want
+        _assert_parities(DistanceModel(d), nodes)
+
+    def test_ladder_pads_lattice_sampled_chunks(self, monkeypatch):
+        d = 9
+        box = AnomalousRegion.centered(d, 4)
+        chunk = _fig8_chunk(d, 0.025, 60, 17, box)
+        for step in (1, 3, 8, 64):
+            monkeypatch.setattr(batched_mod, "BUCKET_STEP", step)
+            _assert_parities(DistanceModel(d), chunk)
+            _assert_parities(DistanceModel(d, box, 0.0), chunk)
+
+    def test_acceptance_order_invariant(self, monkeypatch):
+        """For every captured level: ``lo < hi``, each node's pairs as the
+        higher endpoint all precede its pairs as the lower one, and a
+        node has at most one boundary candidate."""
+        captured = []
+        accept = batched_mod._accept
+
+        def spy(levels, matched, arena):
+            captured.append([tuple(np.array(x) for x in lv)
+                             for lv in levels])
+            return accept(levels, matched, arena)
+
+        monkeypatch.setattr(batched_mod, "_accept", spy)
+        d = 9
+        box = AnomalousRegion.centered(d, 4)
+        for chunk in (_fig8_chunk(d, 0.02, 50, 3),
+                      _fig8_chunk(d, 0.03, 50, 4, box)):
+            batched_cut_parities(DistanceModel(d), chunk)
+            batched_cut_parities(DistanceModel(d, box, 0.0), chunk)
+            regions = [(AnomalousRegion(s % 5, s % 4, 3, t_lo=s % 7),)
+                       for s in range(len(chunk))]
+            batched_region_cut_parities(d, regions, chunk, 0.0)
+        # Each engine call settles level 1, then accepts the dense levels.
+        assert len(captured) == 12
+        assert all(len(levels) == 1 for levels in captured[::2])
+        assert sum(len(levels) for levels in captured[1::2]) > 6
+        for levels in captured:
+            for lo, hi, bnd, _ in levels:
+                assert (lo < hi).all()
+                n = int(max(hi.max(initial=0), bnd.max(initial=0))) + 1
+                pos = np.arange(len(lo))
+                last_hi = np.full(n, -1)
+                np.maximum.at(last_hi, hi, pos)
+                first_lo = np.full(n, len(lo))
+                np.minimum.at(first_lo, lo, pos)
+                assert (last_hi < first_lo).all()
+                assert len(np.unique(bnd)) == len(bnd)
+
+
 class TestBatchDistancePrimitives:
     """pairwise_batch / boundary_batch equal the per-shot primitives
     shot for shot, including weighted regions and per-shot box tops."""
