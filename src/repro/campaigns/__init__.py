@@ -52,10 +52,9 @@ from repro.campaigns.runner import register_campaign, registered_kinds, run
 from repro.campaigns.store import ResultStore
 from repro.campaigns.specs import (CampaignSpec, DetectionSpec, EndToEndSpec,
                                    MemorySpec, ScalingSpec, ScenarioSpec,
-                                   SpecError, StreamingSpec, Sweep,
-                                   ThroughputSpec, derive_seed,
-                                   spec_from_dict, spec_from_json, spec_hash,
-                                   spec_to_dict, spec_to_json)
+                                   SpecError, Sweep, ThroughputSpec,
+                                   derive_seed, spec_from_dict, spec_from_json,
+                                   spec_hash, spec_to_dict, spec_to_json)
 
 __all__ = [
     "CampaignResult",
@@ -75,7 +74,6 @@ __all__ = [
     "ScenarioSpec",
     "ShardFile",
     "SpecError",
-    "StreamingSpec",
     "Sweep",
     "SweepResult",
     "ThroughputSpec",

@@ -39,7 +39,7 @@ from repro.sim.batch import chunk_plan
 
 #: Which spec field carries a chunked campaign's shot request — the one
 #: axis refinement may vary.  Kinds without a chunked shot engine
-#: (streaming, scaling, throughput) are deliberately absent.
+#: (scaling, throughput) are deliberately absent.
 SHOT_FIELDS: dict[type, str] = {
     MemorySpec: "samples",
     EndToEndSpec: "shots",

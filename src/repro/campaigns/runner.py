@@ -27,8 +27,8 @@ from repro.campaigns.checkpoint import CheckpointError, resolve_store
 from repro.campaigns.executors import Executor, default_executor
 from repro.campaigns.results import CampaignResult, Provenance, SweepResult
 from repro.campaigns.specs import (DetectionSpec, EndToEndSpec, MemorySpec,
-                                   ScalingSpec, ScenarioSpec, StreamingSpec,
-                                   Sweep, ThroughputSpec, spec_hash)
+                                   ScalingSpec, ScenarioSpec, Sweep,
+                                   ThroughputSpec, spec_hash)
 from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel, chunk_plan,
@@ -424,72 +424,6 @@ def _run_shots(spec, executor: Executor, store) -> CampaignResult:
                                batch_size=co.batch_size,
                                chunks=co.chunks, resumed=co.resumed,
                                supervisor=co.supervisor),
-        detail=detail,
-    )
-
-
-@register_campaign(StreamingSpec)
-def _run_streaming(spec: StreamingSpec, executor: Executor,
-                   store) -> CampaignResult:
-    """Streamed trials always run inline, whatever the executor.
-
-    The per-round wall clocks *are* the result: shipping trials across
-    a worker pool would time the pool's pickling, not the round loop.
-    Seeds still follow the chunk-plan contract — one
-    :func:`repro.sim.batch.chunk_plan` child per trial — so outcomes
-    depend on ``spec.seed`` alone, executor and all.
-    """
-    from repro.hwmodel.pipeline import StreamSLO
-    from repro.streaming import (StreamingPerformance, StreamingTrialDriver,
-                                 latency_stats)
-    started = time.perf_counter()
-    normal_cycles, post_cycles = spec.resolved_cycles()
-    driver = StreamingTrialDriver(
-        spec.distance, spec.p, spec.p_ano, spec.anomaly_size,
-        onset=normal_cycles, cycles=normal_cycles + post_cycles,
-        c_win=spec.c_win, n_th=spec.n_th, alpha=spec.alpha)
-    results = [driver.run(np.random.default_rng(seed))
-               for _, seed in chunk_plan(spec.trials, 1, spec.seed)]
-    stats = latency_stats(
-        np.concatenate([r.round_latencies_s for r in results]))
-    det_lat = [r.latency_cycles for r in results if r.latency_cycles >= 0]
-    pos_err = [r.position_error for r in results
-               if np.isfinite(r.position_error)]
-    detail = StreamingPerformance(
-        trials=len(results),
-        false_positives=sum(r.false_positive for r in results),
-        detections=sum(r.detected for r in results),
-        naive_failures=sum(r.naive_failure for r in results),
-        detected_failures=sum(r.detected_failure for r in results),
-        oracle_failures=sum(r.oracle_failure for r in results),
-        mean_latency=(float(np.mean(det_lat)) if det_lat
-                      else float("nan")),
-        mean_position_error=(float(np.mean(pos_err)) if pos_err
-                             else float("nan")),
-        latency=stats,
-        peak_live_rounds=max(r.peak_live_rounds for r in results),
-        results=tuple(results),
-    )
-    slo = StreamSLO(spec.code_cycle_us)
-    return CampaignResult(
-        kind=spec.kind,
-        estimates={"false_positive_rate": detail.false_positive_rate,
-                   "miss_rate": detail.miss_rate,
-                   "mean_latency": detail.mean_latency,
-                   "mean_position_error": detail.mean_position_error,
-                   "p50_round_latency_us": stats.p50_us,
-                   "p99_round_latency_us": stats.p99_us,
-                   "rounds_per_sec": stats.rounds_per_sec,
-                   "slo_headroom": slo.headroom(stats.p99_us)},
-        counts={"trials": detail.trials,
-                "false_positives": detail.false_positives,
-                "detections": detail.detections,
-                "naive_failures": detail.naive_failures,
-                "detected_failures": detail.detected_failures,
-                "oracle_failures": detail.oracle_failures,
-                "rounds": stats.rounds,
-                "peak_live_rounds": detail.peak_live_rounds},
-        provenance=_provenance(spec, executor, started),
         detail=detail,
     )
 

@@ -7,7 +7,7 @@ campaign fails before any compute is spent, and :func:`spec_hash` gives
 every spec a stable identity that keys its checkpoint shards and
 provenance block.
 
-Seven kinds cover the paper's evaluations:
+Six kinds cover the paper's evaluations:
 
 * :class:`MemorySpec`     — logical-memory Monte Carlo (Figs. 3/8).
 * :class:`EndToEndSpec`   — detect/estimate/re-decode strikes (Fig. 8's
@@ -16,8 +16,6 @@ Seven kinds cover the paper's evaluations:
 * :class:`ScenarioSpec`   — a :class:`repro.scenarios.Scenario` (multi
   strike, heterogeneous/drifting base rate) driven through the memory,
   end-to-end, or detection shot engine.
-* :class:`StreamingSpec`  — online round-by-round detection with
-  per-round latency SLOs (the paper's real-time operating mode).
 * :class:`ScalingSpec`    — required-density curves (Fig. 9; analytic
   event-driven model, no shot engine).
 * :class:`ThroughputSpec` — instruction throughput (Fig. 10).
@@ -324,58 +322,6 @@ class ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class StreamingSpec:
-    """One online streaming campaign (see :mod:`repro.streaming`).
-
-    The detection geometry mirrors :class:`DetectionSpec` (``onset`` is
-    ``normal_cycles``, exposure runs ``normal + post`` rounds), but the
-    trials execute round by round through the streaming driver, and the
-    campaign's headline result is the per-round latency envelope —
-    p50/p99 wall clock and sustained rounds/sec — judged against the
-    ``code_cycle_us`` SLO (:class:`repro.hwmodel.pipeline.StreamSLO`).
-    No ``batch_size``: the stream is inherently one-round-at-a-time,
-    and trials always run inline (wall clocks must time the round loop,
-    not a worker pool).
-    """
-
-    kind = "streaming"
-
-    distance: int
-    p: float
-    p_ano: float = 0.5
-    anomaly_size: int = 4
-    c_win: int = 100
-    n_th: int = 8
-    alpha: float = 0.01
-    trials: int = 20
-    normal_cycles: Optional[int] = None
-    post_cycles: Optional[int] = None
-    code_cycle_us: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        _check_common(self)
-        _check(self.trials >= 1, "trials must be >= 1")
-        _check(0.0 <= self.p_ano <= 1.0, "p_ano must be a probability")
-        _check(self.anomaly_size >= 1, "anomaly_size must be >= 1")
-        _check(self.c_win >= 1, "c_win must be >= 1")
-        _check(self.n_th >= 0, "n_th must be >= 0")
-        _check(0.0 < self.alpha < 1.0, "alpha must be in (0, 1)")
-        for name in ("normal_cycles", "post_cycles"):
-            value = getattr(self, name)
-            _check(value is None or value >= 1, f"{name} must be >= 1")
-        _check(self.code_cycle_us > 0, "code_cycle_us must be positive")
-
-    def resolved_cycles(self) -> tuple[int, int]:
-        """``(normal_cycles, post_cycles)`` with the legacy defaults."""
-        normal = (self.normal_cycles if self.normal_cycles is not None
-                  else 2 * self.c_win)
-        post = (self.post_cycles if self.post_cycles is not None
-                else 4 * self.c_win)
-        return normal, post
-
-
-@dataclass(frozen=True)
 class ScalingSpec:
     """One Fig. 9 required-density curve (analytic event-driven model).
 
@@ -445,11 +391,11 @@ class ThroughputSpec:
 SPEC_KINDS: dict[str, type] = {
     cls.kind: cls
     for cls in (MemorySpec, EndToEndSpec, DetectionSpec, ScenarioSpec,
-                StreamingSpec, ScalingSpec, ThroughputSpec)
+                ScalingSpec, ThroughputSpec)
 }
 
 CampaignSpec = Union[MemorySpec, EndToEndSpec, DetectionSpec, ScenarioSpec,
-                     StreamingSpec, ScalingSpec, ThroughputSpec]
+                     ScalingSpec, ThroughputSpec]
 
 
 @dataclass(frozen=True)

@@ -776,18 +776,3 @@ def batched_region_cut_parities(distance: int, regions: list,
         for p, v in zip(positions, par.tolist(), strict=True):
             out[sub_idx[p]] = v
     return out
-
-
-def streaming_cut_parity(distance: int, region, nodes: np.ndarray,
-                         w_ano: float = 0.0,
-                         arena: Optional[ScratchArena] = None) -> int:
-    """North-cut parity of one streamed shot under one region.
-
-    The online driver's decode entry point
-    (:mod:`repro.streaming.driver`): a single-shot call into the
-    region-bucketed engine, so the streaming path and the batched
-    campaign path share one decode implementation — and, via ``arena``,
-    one reusable scratch allocation across a trial sequence.
-    """
-    return int(batched_region_cut_parities(distance, [(region,)], [nodes],
-                                           w_ano, arena=arena)[0])

@@ -44,30 +44,6 @@ class DrainEstimate:
         return self.matches / self.hardware_us
 
 
-@dataclass(frozen=True)
-class StreamSLO:
-    """Per-round latency budget for an online decode path.
-
-    The paper's real-time requirement (Sec. VIII-D) is that the
-    detection/decode pipeline keeps pace with syndrome rounds arriving
-    every code cycle.  For the *software* streaming driver
-    (:mod:`repro.streaming`) the analogous service-level objective is
-    that the p99 per-round wall clock stays inside one code cycle.
-    """
-
-    code_cycle_us: float = 1.0
-
-    def met_by(self, p99_us: float) -> bool:
-        """True when the observed p99 round latency fits the budget."""
-        return p99_us <= self.code_cycle_us
-
-    def headroom(self, p99_us: float) -> float:
-        """Budget / observed p99 (``> 1`` means the SLO is met)."""
-        if p99_us <= 0:
-            return float("inf")
-        return self.code_cycle_us / p99_us
-
-
 class ANQPipelineModel:
     """Drain-cost estimates for a hardware configuration."""
 

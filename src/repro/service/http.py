@@ -134,8 +134,8 @@ class ServiceApp:
                 status = "interrupted"
             return 200, {"status": status, "spec_hash": h, **partial}
         if complete:
-            # Complete but shardless: an analytic/streaming kind, or a
-            # cache populated elsewhere.  Nothing to stream.
+            # Complete but shardless: an analytic kind, or a cache
+            # populated elsewhere.  Nothing to stream.
             return 200, {"status": "complete", "spec_hash": h,
                          "shots_done": None}
         if job is not None:

@@ -17,8 +17,8 @@ the architecture actually runs it:
 The paper's claim that detection is accurate enough (Fig. 7 position
 error of a node or two) implies the detected-region decoder should sit
 close to the oracle.  This module holds the region estimate the shot
-kernel, the streaming driver and the per-shot reference share, and the
-campaign's :class:`EndToEndResult`.
+kernel and the per-shot reference share, and the campaign's
+:class:`EndToEndResult`.
 """
 
 from __future__ import annotations

@@ -31,10 +31,6 @@ Strikes reach the stages only through the kernel's
 model applies its fixed events chunk-wide, and the end-to-end and
 detection kernels share one sample stage (:class:`StrikeSampleStage`)
 that resolves every event shot by shot.
-
-The streaming driver (:mod:`repro.streaming`) reuses the same seam
-vocabulary with rounds arriving incrementally instead of as a batch
-tensor.
 """
 
 from __future__ import annotations

@@ -219,10 +219,19 @@ class TestSpecJson:
         assert "packing" not in campaigns.spec_to_dict(spec)
 
     def test_retired_fields_unknown_on_other_kinds(self):
-        doc = campaigns.spec_to_dict(campaigns.StreamingSpec(5, 0.01))
+        doc = campaigns.spec_to_dict(campaigns.ThroughputSpec())
         doc["packing"] = "bits"
         with pytest.raises(campaigns.SpecError, match="no field"):
             campaigns.spec_from_dict(doc)
+
+    def test_retired_kind_is_unknown(self, retired_spec):
+        """A ``"streaming"`` document, alone or as a sweep's base, names
+        the kind it no longer knows."""
+        sweep = {"kind": "sweep", "base": retired_spec,
+                 "axes": {"p": [0.01, 0.02]}}
+        for doc in (retired_spec, sweep):
+            with pytest.raises(campaigns.SpecError, match="'streaming'"):
+                campaigns.spec_from_dict(doc)
 
     def test_hash_distinguishes_specs(self):
         a = campaigns.MemorySpec(distance=5, p=1e-2, samples=10)
@@ -304,7 +313,6 @@ class TestWireTypes:
         raises ``SpecError`` — never anything else."""
         specs = _example_specs() + [
             campaigns.ScenarioSpec(5, 0.01, 8),
-            campaigns.StreamingSpec(5, 0.01),
             campaigns.Sweep(campaigns.MemorySpec(5, 0.01, 10),
                             axes={"p": [0.01, 0.02]})]
         doc = campaigns.spec_to_dict(data.draw(st.sampled_from(specs)))

@@ -129,6 +129,13 @@ class TestCli:
         assert "error" in capsys.readouterr().err
         assert main(["run", str(tmp_path / "missing.json")]) == 1
 
+    def test_retired_kind_fails_validation(self, tmp_path, capsys,
+                                           retired_spec):
+        path = tmp_path / "streaming.json"
+        path.write_text(json.dumps(retired_spec))
+        assert main(["validate", str(path)]) == 1
+        assert "'streaming'" in capsys.readouterr().err
+
     def test_executor_argument_parsing(self):
         assert parse_executor("inline").whole_request
         assert not parse_executor("inline-chunked").whole_request

@@ -88,3 +88,44 @@ def test_drift_is_detected(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "explode" in out  # documented but unregistered
     assert "`hash`" in out  # registered but undocumented
+
+
+def test_spec_kind_extraction_sees_every_kind():
+    assert check_docs.registered_spec_kinds(ROOT) == {
+        "MemorySpec", "EndToEndSpec", "DetectionSpec", "ScenarioSpec",
+        "ScalingSpec", "ThroughputSpec"}
+    assert check_docs.documented_spec_kinds(ROOT) \
+        == check_docs.registered_spec_kinds(ROOT)
+
+
+def _spec_kind_root(tmp_path, api_md):
+    (tmp_path / "src/repro/campaigns").mkdir(parents=True)
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "src/repro/campaigns/cli.py").write_text(
+        'def build():\n    sub.add_parser("run")\n')
+    (tmp_path / "src/repro/campaigns/specs.py").write_text(
+        "SPEC_KINDS: dict[str, type] = {\n"
+        "    cls.kind: cls for cls in (MemorySpec, ThroughputSpec)}\n")
+    (tmp_path / "README.md").write_text("Use `python -m repro run`.\n")
+    (tmp_path / "docs/API.md").write_text(api_md)
+
+
+def test_spec_kind_drift_is_detected(tmp_path, capsys):
+    # A ghost section for a retired kind, and none for a real one.
+    _spec_kind_root(tmp_path, "### `MemorySpec` — memory\n"
+                              "### `GhostSpec` — retired\n"
+                              "### `Sweep` — parameter grids\n")
+    assert check_docs.main(tmp_path) == 1
+    problems = capsys.readouterr().out.splitlines()
+    assert len(problems) == 2  # the wrapper `Sweep` is not a kind
+    assert "documents spec kind `GhostSpec`" in problems[0]
+    assert "spec kind `ThroughputSpec` is listed in SPEC_KINDS" \
+        in problems[1]
+
+
+def test_moved_spec_kinds_table_is_reported(tmp_path, capsys):
+    _spec_kind_root(tmp_path, "### `MemorySpec` — memory\n")
+    (tmp_path / "src/repro/campaigns/specs.py").write_text(
+        "KINDS = {}\n")
+    assert check_docs.main(tmp_path) == 1
+    assert "SPEC_KINDS" in capsys.readouterr().out

@@ -101,6 +101,17 @@ class TestPlan:
         reasons = _reasons(plan_gc(tmp_path))
         assert reasons == {f"{h}-0.0.1.json": "stale_version"}
 
+    def test_current_version_retired_kind_record_is_kept(
+            self, tmp_path, store_retired_record):
+        """Only the version rule prunes a kind the parser no longer
+        knows: its current-version record is still a valid result."""
+        store_retired_record(tmp_path / "results", VERSION)
+        report = plan_gc(tmp_path)
+        assert report.candidates == []
+        assert report.kept == 1
+        store_retired_record(tmp_path / "results", "0.0.1")
+        assert set(_reasons(plan_gc(tmp_path)).values()) == {"stale_version"}
+
 
 class TestApply:
     def test_apply_deletes_exactly_the_candidates(self, tmp_path):

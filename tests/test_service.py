@@ -212,6 +212,34 @@ class TestValidation:
         finally:
             app.close()
 
+    def test_retired_kind_is_400(self, tmp_path, retired_spec):
+        app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
+        try:
+            code, doc = app.submit(json.dumps(retired_spec).encode(),
+                                   "public")
+            assert code == 400
+            assert "'streaming'" in doc["error"]
+        finally:
+            app.close()
+
+    def test_stored_retired_kind_is_still_served(self, tmp_path,
+                                                 store_retired_record):
+        """A valid current-version record of a kind the parser no longer
+        knows is a correct result: served as 200, never a 500."""
+        app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
+        try:
+            h = store_retired_record(app.store.results.directory,
+                                     app.version)
+            code, doc = app.status(h)
+            assert code == 200
+            assert doc["result"]["kind"] == "streaming"
+            assert doc["cache_hit"]
+            code, doc = app.partial(h)
+            assert code == 200
+            assert doc["status"] == "complete"
+        finally:
+            app.close()
+
     def test_unknown_campaign_is_404(self, tmp_path):
         app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
         try:

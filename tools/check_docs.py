@@ -18,6 +18,11 @@ docs/*.md or benchmarks/README.md must be the value of an ``ENV_*``
 constant in ``src/repro/config.py``, the one module that reads them —
 a deleted knob may not live on in the docs.
 
+And the campaign kinds: the ``### `<Name>Spec` `` headings of
+docs/API.md must name exactly the classes listed in ``SPEC_KINDS`` in
+``src/repro/campaigns/specs.py`` (``Sweep`` is a wrapper, not a kind) —
+a retired kind may not keep its section, nor a new one go without.
+
 Run: ``python tools/check_docs.py`` (exit 1 on drift).
 """
 
@@ -29,6 +34,8 @@ from pathlib import Path
 CLI = Path("src/repro/campaigns/cli.py")
 CATALOG = Path("src/repro/scenarios/catalog.py")
 CONFIG = Path("src/repro/config.py")
+SPECS = Path("src/repro/campaigns/specs.py")
+API = Path("docs/API.md")
 DOCS = ("README.md", "docs")
 
 #: ``python -m repro run|validate spec.json`` → ["run", "validate"].
@@ -39,6 +46,9 @@ TABLE_ROW = re.compile(r"^\|\s*`([a-z0-9-]+)`\s*\|")
 
 #: An environment knob name: ``REPRO_SAMPLES``, ``REPRO_JSON_DIR``.
 KNOB = re.compile(r"REPRO_[A-Z][A-Z_]*")
+
+#: A spec-kind section heading: ``### `MemorySpec` — ...``.
+SPEC_HEADING = re.compile(r"^### `([A-Za-z0-9_]+Spec)`", re.MULTILINE)
 
 
 def registered_subcommands(root: Path) -> set:
@@ -163,6 +173,57 @@ def _knob_problems(root: Path) -> list:
             if name not in real]
 
 
+def registered_spec_kinds(root: Path) -> set | None:
+    """Class names in the ``SPEC_KINDS`` table of the specs module.
+
+    ``None`` when the module has no such table (a refactor the check
+    must hear about); empty when the module does not exist (the
+    drift-test fixtures).
+    """
+    path = root / SPECS
+    if not path.is_file():
+        return set()
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.target.id == "SPEC_KINDS"
+                and isinstance(node.value, ast.DictComp)):
+            classes = node.value.generators[0].iter
+            if isinstance(classes, ast.Tuple):
+                return {elt.id for elt in classes.elts
+                        if isinstance(elt, ast.Name)}
+    return None
+
+
+def documented_spec_kinds(root: Path) -> set:
+    """Class names of the ``### `<Name>Spec` `` headings in docs/API.md."""
+    path = root / API
+    if not path.is_file():
+        return set()
+    return set(SPEC_HEADING.findall(path.read_text(encoding="utf-8")))
+
+
+def _spec_kind_problems(root: Path) -> list:
+    real = registered_spec_kinds(root)
+    if real is None:
+        return [f"{SPECS}: no `SPEC_KINDS = {{cls.kind: cls for cls in "
+                "(...)}}` table found — moved?"]
+    if not real:
+        return []  # no specs module: nothing to keep honest
+    documented = documented_spec_kinds(root)
+    problems = []
+    for name in sorted(documented - real):
+        problems.append(
+            f"{API}: documents spec kind `{name}`, which SPEC_KINDS in "
+            f"{SPECS} does not list (has: {', '.join(sorted(real))})")
+    for name in sorted(real - documented):
+        problems.append(
+            f"{API}: spec kind `{name}` is listed in SPEC_KINDS of "
+            f"{SPECS} but has no ### section")
+    return problems
+
+
 def main(root: Path = Path(__file__).resolve().parent.parent) -> int:
     real = registered_subcommands(root)
     if not real:
@@ -183,6 +244,7 @@ def main(root: Path = Path(__file__).resolve().parent.parent) -> int:
             "but never shown as `python -m repro " + name + "`")
     problems.extend(_catalog_problems(root))
     problems.extend(_knob_problems(root))
+    problems.extend(_spec_kind_problems(root))
     for problem in problems:
         print(f"check_docs: {problem}")
     if not problems:
@@ -190,6 +252,7 @@ def main(root: Path = Path(__file__).resolve().parent.parent) -> int:
         print(f"check_docs: clean ({len(real)} subcommands, "
               f"{len(scenarios)} catalog scenarios, "
               f"{len(registered_knobs(root))} env knobs, "
+              f"{len(registered_spec_kinds(root))} spec kinds, "
               "README + docs/ in sync)")
     return 1 if problems else 0
 
